@@ -77,6 +77,17 @@ def _parse_rounds(text: str):
     return r, s
 
 
+def _check_bounds(args):
+    """Reject out-of-range --bound and --B values as argument errors."""
+    bound = getattr(args, "bound", None)
+    if bound is not None:
+        least = 2 if getattr(args, "alg", None) == "banin-tsaban" else 1
+        if bound < least:
+            raise ElementSpecError(f"--bound must be >= {least}", "--bound")
+    if getattr(args, "divisor_bound", 2) < 2:
+        raise ElementSpecError("--B must be >= 2", "--B")
+
+
 def _emit(payload: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -214,9 +225,13 @@ def cmd_bench(args) -> int:
             if not part:
                 continue
             try:
-                sizes.append(int(part, 0))
+                size = int(part, 0)
             except ValueError:
                 raise ElementSpecError(f"bad size {part!r}", "--sizes")
+            if size < 1:
+                raise ElementSpecError(f"size must be >= 1, got {size}",
+                                       "--sizes")
+            sizes.append(size)
     rounds = _parse_rounds(args.rounds) if args.rounds else None
     records = bench.run_sweep(
         family=args.family, algorithm=args.alg, sizes=sizes,
@@ -326,6 +341,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
+        _check_bounds(args)
         handler = {
             "cycle": cmd_cycle,
             "dlog": cmd_dlog,

@@ -8,13 +8,15 @@ performs.  Elements themselves are plain immutable Python values (ints,
 tuples); only the context interprets them.
 
 No identity element is ever assumed: exponents start at 1 and x^0 is a
-domain error.  Equality of elements is always key equality, so collision
-tables and match lookups work uniformly across instance families.
+domain error.  Every family represents an element by one canonical,
+hashable value, so `==` and `hash` are element equality: collision tables
+are plain dicts keyed by the element, and equality tests compare elements
+directly.  The byte key is the stable serialization format only (golden
+encodings, output); no algorithm needs it.
 """
 
 from __future__ import annotations
 
-import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -39,9 +41,11 @@ class SemigroupContext(ABC):
     """A concrete semigroup instance plus its multiplication counter.
 
     Subclasses fix the element representation and implement the raw
-    product, the canonical key encoding and element validation.  The
-    counter (`mult_count`) is the only mutable state; it counts semigroup
-    multiplications only, never integer arithmetic.  Single-writer: do not
+    product, the canonical key encoding and element validation.  Each
+    element must have exactly one hashable representation, so that `==`
+    agrees with key equality.  The counter (`mult_count`) is the only
+    mutable state; it counts semigroup multiplications only, never integer
+    arithmetic.  Single-writer: do not
     share one context across threads that multiply concurrently.
     """
 
@@ -80,7 +84,7 @@ class SemigroupContext(ABC):
         return self._product(a, b)
 
     def equal(self, a, b) -> bool:
-        return self.key(a) == self.key(b)
+        return a == b
 
     def __repr__(self) -> str:
         params = ", ".join(
@@ -157,80 +161,3 @@ class CycleStructure:
             "cycle_length": self.cycle_length,
             "order": self.order,
         }
-
-
-@dataclass(frozen=True)
-class CollisionTable:
-    """Sorted table of (exponent, canonical key) pairs.
-
-    Entries are sorted by key, then exponent, so all exponents sharing a
-    probe key are found with one bisection.  `start_exp`, `stride` and
-    `count` record the arithmetic progression of exponents the table was
-    built over.
-    """
-
-    entries: tuple
-    start_exp: int
-    stride: int
-    count: int
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def duplicate_groups(self):
-        """Exponent lists of keys stored more than once, in key order."""
-        groups = []
-        i = 0
-        ents = self.entries
-        while i < len(ents):
-            j = i + 1
-            while j < len(ents) and ents[j][1] == ents[i][1]:
-                j += 1
-            if j - i > 1:
-                groups.append([exp for exp, _ in ents[i:j]])
-            i = j
-        return groups
-
-
-def build_power_table(ctx: SemigroupContext, base, start_exp: int,
-                      stride: int, count: int) -> CollisionTable:
-    """Table of (start_exp + k*stride, key(base^(start_exp + k*stride)))
-    for k = 0..count.
-
-    Built incrementally: one power() call for base^start_exp, then `count`
-    multiplications by base^stride (stride > 1 costs one extra power()
-    call to form the step element).
-    """
-    if start_exp < 1:
-        raise SemigroupError("start_exp must be >= 1")
-    if stride < 1:
-        raise SemigroupError("stride must be >= 1")
-    if count < 0:
-        raise SemigroupError("count must be >= 0")
-    cur = power(ctx, base, start_exp)
-    entries = [(start_exp, ctx.key(cur))]
-    if count > 0:
-        step = base if stride == 1 else power(ctx, base, stride)
-        exp = start_exp
-        for _ in range(count):
-            cur = ctx.mul(cur, step)
-            exp += stride
-            entries.append((exp, ctx.key(cur)))
-    entries.sort(key=lambda ent: (ent[1], ent[0]))
-    return CollisionTable(entries=tuple(entries), start_exp=start_exp,
-                          stride=stride, count=count)
-
-
-def find_matches(table: CollisionTable, probe_key: bytes) -> list:
-    """All exponents in `table` whose key equals `probe_key`, ascending.
-
-    Empty list when the key is absent; duplicates preserved (a key stored
-    under several exponents yields them all).
-    """
-    ents = table.entries
-    i = bisect.bisect_left(ents, probe_key, key=lambda ent: ent[1])
-    out = []
-    while i < len(ents) and ents[i][1] == probe_key:
-        out.append(ents[i][0])
-        i += 1
-    return out

@@ -23,13 +23,10 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (
-    CollisionTable,
     CycleStructure,
     OracleFailureError,
     SemigroupContext,
     SemigroupError,
-    build_power_table,
-    find_matches,
     power,
 )
 from .numtheory import (
@@ -47,19 +44,20 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     """Exact cycle structure by iterating x, x^2, ... until the first
     repeated value.
 
-    The first repeated key, seen at exponent b with an earlier occurrence
-    at a, gives cycle start a and cycle length b - a.  Raises when no
-    repeat shows up within `cap` steps (element not torsion within cap).
+    The first repeated value, seen at exponent b with an earlier
+    occurrence at a, gives cycle start a and cycle length b - a.  Raises
+    when no repeat shows up within `cap` steps (element not torsion within
+    cap).
     """
+    ctx.validate(x)
     seen = {}
     cur = x
     exp = 1
     while exp <= cap:
-        k = ctx.key(cur)
-        prior = seen.get(k)
+        prior = seen.get(cur)
         if prior is not None:
             return CycleStructure(prior, exp - prior)
-        seen[k] = exp
+        seen[cur] = exp
         cur = ctx.mul(cur, x)
         exp += 1
     raise SemigroupError(f"no repeated power within {cap} steps; "
@@ -115,7 +113,8 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     Baby phase: walk x^N, x^(N+1), ..., x^(N+q) with q = ceil(sqrt(N)),
     comparing each against x^N (a hit at step j means the cycle length is
     exactly j, since equal powers at distinct exponents certify both lie
-    in the cycle).  The pairs (N+j, key) for j < q form the lookup table.
+    in the cycle).  The powers x^(N+j) for j < q form the lookup table,
+    keyed by the element; a value met twice keeps its largest j.
 
     Giant phase: probe x^(N+iq) for i = 1..q against the table.  A match
     at minimal i yields candidate iq - j, which is provably the cycle
@@ -127,36 +126,29 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     """
     q = ceil_sqrt(bound)
     base = power(ctx, x, bound)
-    base_key = ctx.key(base)
-    entries = [(bound, base_key)]
+    table = {base: 0}
     cur = base
     for j in range(1, q + 1):
         cur = ctx.mul(cur, x)
-        k = ctx.key(cur)
-        if k == base_key:
-            rec = Alg4Round(bound, q, j, None, j, True, len(entries))
+        if cur == base:
+            # x^N .. x^(N+j-1) were tabulated
+            rec = Alg4Round(bound, q, j, None, j, True, j)
             return j, rec
         if j < q:
-            entries.append((bound + j, k))
-    entries.sort(key=lambda ent: (ent[1], ent[0]))
-    table = CollisionTable(entries=tuple(entries), start_exp=bound,
-                           stride=1, count=len(entries) - 1)
+            table[cur] = j
 
     step = power(ctx, x, q)
     probe = cur  # x^(N+q), the i = 1 giant value
     for i in range(1, q + 1):
         if i > 1:
             probe = ctx.mul(probe, step)
-        matches = find_matches(table, ctx.key(probe))
-        if matches:
-            j = max(matches) - bound
+        j = table.get(probe)
+        if j is not None:
             candidate = i * q - j
-            check = ctx.mul(power(ctx, x, candidate), base)
-            accepted = ctx.key(check) == base_key
-            rec = Alg4Round(bound, q, None, (i, j), candidate, accepted,
-                            len(table))
+            accepted = ctx.mul(power(ctx, x, candidate), base) == base
+            rec = Alg4Round(bound, q, None, (i, j), candidate, accepted, q)
             return (candidate if accepted else None), rec
-    rec = Alg4Round(bound, q, None, None, None, False, len(table))
+    rec = Alg4Round(bound, q, None, None, None, False, q)
     return None, rec
 
 
@@ -170,6 +162,7 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     the order), a single round at that bound suffices and a failure to
     find a collision raises instead of doubling.
     """
+    ctx.validate(x)
     trace = Alg4Trace()
     start_count = ctx.mult_count
     if known_bound is not None:
@@ -208,13 +201,14 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     candidate L that is not a multiple of the true cycle length, for which
     the predicate never holds.
     """
+    ctx.validate(x)
     if cycle_length < 1:
         raise SemigroupError("cycle_length must be >= 1")
     step = power(ctx, x, cycle_length)
 
     def holds(c: int) -> bool:
         xc = power(ctx, x, c)
-        return ctx.key(ctx.mul(xc, step)) == ctx.key(xc)
+        return ctx.mul(xc, step) == xc
 
     s = 1
     while not holds(s):
@@ -280,14 +274,13 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     if g < 1:
         raise SemigroupError("g must be >= 1")
     base = power(ctx, x, anchor_exp)
-    base_key = ctx.key(base)
     for d in prime_power_divisors_below(g, divisor_bound):
         if g % d:
             continue
         cand = g // d
         if cand < 1:
             continue
-        if ctx.key(ctx.mul(power(ctx, x, cand), base)) == base_key:
+        if ctx.mul(power(ctx, x, cand), base) == base:
             g = cand
             if record is not None:
                 record.append(d)
@@ -297,14 +290,24 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
 def _monico_round(ctx, x, bound, divisor_bound, trace):
     m = ceil_sqrt(bound)
     q = next_prime(bound)
-    table = build_power_table(ctx, x, q, m, m)
     trace.bound, trace.m, trace.prime = bound, m, q
 
-    dup_groups = table.duplicate_groups()
-    if dup_groups:
-        exps = dup_groups[0][:2]
-        i1, i2 = (exps[0] - q) // m, (exps[1] - q) // m
-        trace.duplicate_pair = (i1, i2)
+    # table[x^(q + i*m)] = the first i reaching that value, i = 0..m; the
+    # first repeat met spans one period P = L/gcd(L, m) of the index, as
+    # in-cycle entries repeat exactly every P steps and earlier ones never
+    cur = power(ctx, x, q)
+    step = power(ctx, x, m)
+    table = {cur: 0}
+    duplicate = None
+    for i in range(1, m + 1):
+        cur = ctx.mul(cur, step)
+        first = table.setdefault(cur, i)
+        if first != i and duplicate is None:
+            duplicate = (first, i)
+
+    if duplicate is not None:
+        i1, i2 = duplicate
+        trace.duplicate_pair = duplicate
         g = (i2 - i1) * m
     else:
         def least_shift(offset_exp):
@@ -314,9 +317,9 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
             cur = power(ctx, x, offset_exp)
             for b in range(1, m + 1):
                 cur = ctx.mul(cur, x)
-                hits = find_matches(table, ctx.key(cur))
-                if hits:
-                    return b, (hits[0] - q) // m
+                i = table.get(cur)
+                if i is not None:
+                    return b, i
             return None, None
 
         b1, a1 = least_shift(q)
@@ -354,6 +357,7 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     with the randomized routes and is unused here.
     """
     del seed
+    ctx.validate(x)
     if divisor_bound < 2:
         raise SemigroupError("divisor_bound must be >= 2")
     trace = MonicoTrace(divisor_bound=divisor_bound)
@@ -394,26 +398,22 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     if bound < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
-    target_key = ctx.key(target)
-    entries = [(0, target_key)]
+    table = {target: [0]}  # element -> every j with target*h^j equal to it
     cur = target
     for j in range(1, q + 1):
         cur = ctx.mul(cur, h)
-        entries.append((j, ctx.key(cur)))
-    entries.sort(key=lambda ent: (ent[1], ent[0]))
-    table = CollisionTable(entries=tuple(entries), start_exp=0, stride=1,
-                           count=q)
+        table.setdefault(cur, []).append(j)
 
     step = power(ctx, h, q)
     probe = step
     for i in range(1, q + 2):
         if i > 1:
             probe = ctx.mul(probe, step)
-        for j in sorted(find_matches(table, ctx.key(probe)), reverse=True):
+        for j in reversed(table.get(probe, ())):
             cand = i * q - j
             if cand < 1:
                 continue
-            if ctx.key(power(ctx, h, cand)) == target_key:
+            if power(ctx, h, cand) == target:
                 return cand
     raise OracleFailureError(
         f"no exponent k' <= {q * (q + 1)} maps h to the target")
@@ -495,13 +495,12 @@ def _banin_attempt(ctx, x, bound, inner, outer, rng, trace):
     if anchor is None or acc >= 1 << 63:
         return None
     base = power(ctx, x, anchor)
-    base_key = ctx.key(base)
-    if ctx.key(ctx.mul(power(ctx, x, acc), base)) != base_key:
+    if ctx.mul(power(ctx, x, acc), base) != base:
         return None
     # candidate verified to be a multiple of the cycle length; correct it
     # to the minimal divisor that still closes the cycle
     for d in divisors(acc):
-        if ctx.key(ctx.mul(power(ctx, x, d), base)) == base_key:
+        if ctx.mul(power(ctx, x, d), base) == base:
             trace.verified = True
             trace.corrected_from = acc if d != acc else None
             return d
@@ -523,6 +522,7 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     certificate, candidate not a multiple) doubles the bound and retries.
     Outer rounds default to ceil(log2 log2 bound) + 1.
     """
+    ctx.validate(x)
     if bound < 2:
         raise SemigroupError("bound must be >= 2")
     if inner_rounds < 1:

@@ -43,7 +43,6 @@ class GroupView:
     generator: object
     identity: object
     cycle_power: object
-    identity_key: bytes
 
 
 def make_group_view(ctx: SemigroupContext, x,
@@ -54,13 +53,12 @@ def make_group_view(ctx: SemigroupContext, x,
     generator = ctx.mul(identity, x)  # x^(tL+1)
     cycle_power = power(ctx, x, length)
     return GroupView(base=x, cycle=cycle, t=t, generator=generator,
-                     identity=identity, cycle_power=cycle_power,
-                     identity_key=ctx.key(identity))
+                     identity=identity, cycle_power=cycle_power)
 
 
 def in_group(ctx: SemigroupContext, gv: GroupView, y) -> bool:
-    """Membership test: one multiplication and one key comparison."""
-    return ctx.key(ctx.mul(y, gv.cycle_power)) == ctx.key(y)
+    """Membership test: one multiplication and one comparison."""
+    return ctx.mul(y, gv.cycle_power) == y
 
 
 def inverse_in_group(ctx: SemigroupContext, gv: GroupView, n: int):
@@ -91,24 +89,20 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     """
     if order < 1:
         raise SemigroupError("order must be >= 1")
-    target_key = ctx.key(target)
-    if target_key == gv.identity_key:
+    if target == gv.identity:
         return 0
     q = ceil_sqrt(order)
-    baby = {target_key: 0}
+    baby = {target: 0}
     cur = target
     for j in range(1, q + 1):
         cur = ctx.mul(cur, generator)
-        k = ctx.key(cur)
-        prior = baby.get(k)
-        if prior is None or prior < j:
-            baby[k] = j
+        baby[cur] = j  # a repeated value keeps its largest j
     step = power(ctx, generator, q)
     probe = step
     for i in range(1, q + 2):
         if i > 1:
             probe = ctx.mul(probe, step)
-        j = baby.get(ctx.key(probe))
+        j = baby.get(probe)
         if j is not None:
             m = (i * q - j) % order
             if m:
@@ -233,6 +227,8 @@ def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     Returns (DlogSolution, DlogTrace); raises NoSolutionError when y is
     not a power of x.
     """
+    ctx.validate(x)
+    ctx.validate(y)
     gv = make_group_view(ctx, x, cycle)
     b, y_prime = _shift_into_group(ctx, gv, y)
     length = cycle.cycle_length
@@ -242,7 +238,7 @@ def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     raw = a - (b + c) * length
     # a y outside <x> can still shift into the group; the power check
     # catches whatever the collision searches let through
-    if raw < 1 or not ctx.equal(power(ctx, x, raw), y):
+    if raw < 1 or power(ctx, x, raw) != y:
         raise NoSolutionError("y is not a power of the base")
     trace = DlogTrace(b=b, m_prime=m_prime, m_prime_effective=m_eff, c=c,
                       raw=raw)
@@ -294,6 +290,8 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
     sets.  Whenever a partial exponent n_k is zero the z^(n_k) factor is
     simply omitted (no zeroth power exists in a semigroup).
     """
+    ctx.validate(x)
+    ctx.validate(y)
     length = cycle.cycle_length
     if factorization is None:
         factorization = factor_integer(length)
@@ -332,7 +330,7 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
     m_eff = m_prime if m_prime else length
     c, a = _closing_shift(ctx, gv, m_eff)
     raw = a - (b + c) * length
-    if raw < 1 or not ctx.equal(power(ctx, x, raw), y):
+    if raw < 1 or power(ctx, x, raw) != y:
         raise NoSolutionError("y is not a power of the base")
     trace.m_prime = m_prime
     trace.m_prime_effective = m_eff

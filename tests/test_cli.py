@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import semidlog
 from semidlog.cli import main
 
@@ -116,6 +118,24 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(["cycle", '{"type":"widget"}'], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["cycle", "--bound", "0", ZMOD2],
+    ["cycle", "--alg", "monico", "--B", "1", ZMOD2],
+    ["cycle", "--alg", "banin-tsaban", "--bound", "1", ZMOD2],
+    ["dlog", "--bound", "0", ZMOD2, ZMOD68],
+    ["bench", "--family", "zmod", "--sizes", "100", "--bound", "0"],
+    ["bench", "--family", "zmod", "--sizes", "100", "--alg", "monico",
+     "--B", "1"],
+    ["bench", "--family", "monogenic", "--sizes", "0"],
+    ["bench", "--family", "monogenic", "--sizes", "64,-5"],
+], ids=lambda args: " ".join(a for a in args if not a.startswith("{")))
+def test_out_of_range_arguments_exit_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_spec_from_file(tmp_path, capsys):

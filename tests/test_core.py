@@ -11,9 +11,7 @@ from semidlog import (
     TransformationContext,
     ZModContext,
     brute_force_cycle,
-    build_power_table,
     canonical_key,
-    find_matches,
     multiply,
     power,
 )
@@ -161,59 +159,6 @@ def test_key_equality_is_element_equality(instance_pool):
         y = ctx.mul(x, x)
         assert (canonical_key(ctx, x) == canonical_key(ctx, y)) == ctx.equal(x, y)
         assert canonical_key(ctx, x) == canonical_key(ctx, x)
-
-
-def test_build_power_table_enumerates_powers_of_two():
-    # oracle: direct modular exponentiation
-    expected = [(32 + k, pow(2, 32 + k, 100)) for k in range(7)]
-    ctx = ZModContext(100)
-    table = build_power_table(ctx, 2, 32, 1, 6)
-    assert len(table) == 7
-    got = sorted((exp, int.from_bytes(key, "big")) for exp, key in table.entries)
-    assert got == expected
-
-
-def test_build_power_table_count_zero():
-    ctx = ZModContext(100)
-    table = build_power_table(ctx, 2, 5, 1, 0)
-    assert len(table) == 1
-    assert table.entries[0] == (5, canonical_key(ctx, 32))
-
-
-def test_build_power_table_below_cycle_start_all_distinct():
-    ctx = MonogenicContext(5, 12)
-    table = build_power_table(ctx, 1, 1, 1, 3)
-    keys = {key for _, key in table.entries}
-    assert len(keys) == 4
-
-
-def test_build_power_table_cost_is_one_power_plus_count():
-    ctx = ZModContext(100)
-    build_power_table(ctx, 2, 32, 1, 6)
-    power_cost = (32).bit_length() - 1 + bin(32).count("1") - 1
-    assert ctx.mult_count == power_cost + 6
-
-
-def test_find_matches_probe_hit():
-    ctx = ZModContext(100)
-    table = build_power_table(ctx, 2, 32, 1, 6)
-    probe = canonical_key(ctx, power(ctx, 2, 56))  # 2^56 = 2^36 mod 100
-    assert find_matches(table, probe) == [36]
-
-
-def test_find_matches_probe_absent():
-    ctx = ZModContext(100)
-    table = build_power_table(ctx, 2, 32, 1, 6)
-    assert find_matches(table, b"\xff") == []
-
-
-def test_find_matches_returns_all_duplicates():
-    # exponents 2, 22, 42 all land on the same value (cycle length 20)
-    ctx = ZModContext(100)
-    table = build_power_table(ctx, 2, 2, 20, 2)
-    probe = canonical_key(ctx, 4)
-    assert find_matches(table, probe) == [2, 22, 42]
-    assert table.duplicate_groups() == [[2, 22, 42]]
 
 
 def test_power_period_equivalence(instance_pool):

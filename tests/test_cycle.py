@@ -4,6 +4,7 @@ import random
 import pytest
 
 from semidlog import (
+    IncompatibleElementError,
     MonogenicContext,
     OracleFailureError,
     SemigroupError,
@@ -20,6 +21,32 @@ from semidlog import (
     power,
 )
 from semidlog.numtheory import ceil_sqrt
+
+
+# ------------------------------------------------------- input validation
+
+CYCLE_ENTRY_POINTS = {
+    "brute": brute_force_cycle,
+    "deterministic": deterministic_cycle_length,
+    "monico": lambda ctx, x: monico_cycle_length(ctx, x, bound=64),
+    "banin-tsaban": banin_tsaban_cycle_length,
+    "start-search": lambda ctx, x: cycle_start_search(ctx, x, 12),
+}
+
+FOREIGN_ELEMENTS = {
+    "zmod-out-of-range": (lambda: ZModContext(100), 250),
+    "monogenic-exponent-zero": (lambda: MonogenicContext(5, 12), 0),
+    "transformation-unhashable-list": (lambda: TransformationContext(3),
+                                       [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CYCLE_ENTRY_POINTS))
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_ELEMENTS))
+def test_cycle_entry_points_reject_foreign_elements(entry, foreign):
+    factory, x = FOREIGN_ELEMENTS[foreign]
+    with pytest.raises(IncompatibleElementError):
+        CYCLE_ENTRY_POINTS[entry](factory(), x)
 
 
 # ---------------------------------------------------------------- brute force
@@ -218,6 +245,23 @@ def test_monico_zmod_100():
     assert trace.duplicate_pair is not None
     i1, i2 = trace.duplicate_pair
     assert (i2 - i1) * trace.m % 20 == 0
+
+
+def test_monico_duplicate_pair_spans_one_period():
+    # table entries x^(q + i*m) repeat exactly every P = L/gcd(L, m) steps
+    # of i once they enter the cycle, and pre-cycle entries never repeat,
+    # so whichever repeat is taken, g = P*m; in the bound-free cases the
+    # final table starts before the cycle start (q = 257 < s)
+    for s, length, bound in [(1, 30, 100), (37, 360, 396), (300, 6, None),
+                             (290, 12, None)]:
+        ctx = MonogenicContext(s, length)
+        result, trace = monico_cycle_length(ctx, 1, bound=bound)
+        assert result % length == 0
+        period = length // math.gcd(length, trace.m)
+        i1, i2 = trace.duplicate_pair
+        assert i2 - i1 == period
+        assert trace.prime + i1 * trace.m >= s
+        assert trace.gcd_value == period * trace.m
 
 
 def test_monico_exact_for_small_prime_lengths():

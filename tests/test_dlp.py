@@ -4,6 +4,7 @@ import pytest
 
 from semidlog import (
     CycleStructure,
+    IncompatibleElementError,
     MonogenicContext,
     NoSolutionError,
     SemigroupError,
@@ -254,6 +255,13 @@ def test_dlog_not_a_power_raises():
         semigroup_dlog(ctx, 2, 3, CycleStructure(2, 20))
     with pytest.raises(NoSolutionError):
         pohlig_hellman_dlog(ctx, 2, 3, CycleStructure(2, 20))
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+@pytest.mark.parametrize("x, y", [(2, "a"), (2, 250), (250, 4), (2, [4])])
+def test_dlog_rejects_foreign_elements(solver, x, y):
+    with pytest.raises(IncompatibleElementError):
+        solver(ZModContext(100), x, y, CycleStructure(2, 20))
 
 
 def test_dlog_boundary_between_unique_and_progression():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -152,6 +153,39 @@ def test_boolmat_cycles_can_have_late_starts():
     cyc = brute_force_cycle(ctx, shift)
     assert cyc.cycle_start > 1
     assert cyc.cycle_length == 1
+
+
+# small parameters, so random pairs and products are often equal
+EQUALITY_SWEEP = [
+    ("zmod", {"modulus": 12}),
+    ("zmod", {"modulus": 70000}),
+    ("matmod", {"dim": 2, "modulus": 2}),
+    ("matmod", {"dim": 3, "modulus": 300}),
+    ("boolmat", {"dim": 2}),
+    ("boolmat", {"dim": 3}),
+    ("transformation", {"degree": 3}),
+    ("monogenic", {"s": 3, "L": 4}),
+    ("monogenic", {"s": 1, "L": 300}),
+]
+
+
+@pytest.mark.parametrize("family,params", EQUALITY_SWEEP)
+def test_element_equality_is_key_equality(family, params):
+    # collision tables are dicts keyed by the element and equality tests
+    # use ==, which is sound only if == and hash agree with key equality
+    rng = random.Random(f"{family}-{sorted(params.items())}")
+    ctx = make_context(family, params)
+    elems = [random_element(family, params, rng.randrange(1 << 30))
+             for _ in range(40)]
+    elems += [ctx.mul(a, b) for a, b in zip(elems, reversed(elems))]
+    for a in elems:
+        for b in elems:
+            assert (a == b) == (ctx.key(a) == ctx.key(b))
+            if a == b:
+                assert hash(a) == hash(b)
+    parsed = [parse_element_spec(ctx.element_json(a))[1] for a in elems]
+    assert parsed == elems
+    assert len({ctx.key(a) for a in elems}) == len(set(elems))
 
 
 GOLDEN_KEYS = [
