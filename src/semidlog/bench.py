@@ -15,19 +15,11 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .core import SemigroupError
-from .cycle import (
-    banin_tsaban_cycle_length,
-    brute_force_cycle,
-    cycle_start_search,
-    deterministic_cycle_length,
-    monico_cycle_length,
-)
+from .cycle import brute_force_cycle, find_cycle
 from .instances import make_context, random_element
-
-CYCLE_ALGORITHMS = ("deterministic", "monico", "banin-tsaban", "brute")
 
 ORACLE_CAP = 1 << 21
 
@@ -45,17 +37,7 @@ class BenchRecord:
     success: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "order": self.order,
-            "algorithm": self.algorithm,
-            "trial": self.trial,
-            "seed": self.seed,
-            "multiplications": self.multiplications,
-            "table_peak": self.table_peak,
-            "wall_time_s": self.wall_time_s,
-            "success": self.success,
-        }
+        return asdict(self)
 
     sort_key = property(lambda self: (self.instance, self.algorithm, self.trial))
 
@@ -82,30 +64,6 @@ def _instance_params(family: str, size: int, rng: random.Random, dim: int,
     raise SemigroupError(f"unknown bench family {family!r}")
 
 
-def _run_algorithm(ctx, elem, algorithm, bound, divisor_bound, rounds, seed):
-    """Returns (cycle_length, cycle_start, table_peak)."""
-    if algorithm == "deterministic":
-        length, trace = deterministic_cycle_length(ctx, elem, bound)
-        peak = trace.table_peak
-    elif algorithm == "monico":
-        length, trace = monico_cycle_length(ctx, elem, bound, divisor_bound,
-                                            seed)
-        peak = trace.m + 1
-    elif algorithm == "banin-tsaban":
-        inner, outer = rounds if rounds else (4, None)
-        length, _ = banin_tsaban_cycle_length(
-            ctx, elem, bound or 16, inner_rounds=inner, outer_rounds=outer,
-            seed=seed)
-        peak = None
-    elif algorithm == "brute":
-        cyc = brute_force_cycle(ctx, elem)
-        return cyc.cycle_length, cyc.cycle_start, cyc.order
-    else:
-        raise SemigroupError(f"unknown algorithm {algorithm!r}")
-    start = cycle_start_search(ctx, elem, length)
-    return length, start, peak
-
-
 def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
               seed: int = 0, bound: int | None = None,
               divisor_bound: int = 10 ** 4, rounds=None, dim: int = 2,
@@ -130,9 +88,10 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
                 run_bound = size  # the construction pins the order
             t0 = time.perf_counter()
             before = ctx.mult_count
-            length, start, peak = _run_algorithm(
-                ctx, elem, algorithm, run_bound, divisor_bound, rounds,
-                trial_seed)
+            cyc, trace = find_cycle(ctx, elem, algorithm, run_bound,
+                                    divisor_bound, rounds, trial_seed)
+            # brute force tabulates every power; the others report their own
+            peak = trace.table_peak if trace else cyc.order
             mults = ctx.mult_count - before
             elapsed = time.perf_counter() - t0
             success = None
@@ -145,8 +104,7 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
                     truth = None
                 if truth is not None:
                     order = truth.order
-                    success = (length == truth.cycle_length
-                               and start == truth.cycle_start)
+                    success = cyc == truth
             records.append(BenchRecord(
                 instance=json.dumps(ctx.describe(), sort_keys=True),
                 order=order,
@@ -162,8 +120,7 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
     return records
 
 
-CSV_FIELDS = ("instance", "order", "algorithm", "trial", "seed",
-              "multiplications", "table_peak", "wall_time_s", "success")
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def records_to_csv(records) -> str:

@@ -22,15 +22,9 @@ import os
 import sys
 
 from . import bench
-from .core import CycleStructure, NoSolutionError, SemigroupError, power
-from .cycle import (
-    banin_tsaban_cycle_length,
-    brute_force_cycle,
-    cycle_start_search,
-    deterministic_cycle_length,
-    monico_cycle_length,
-)
-from .dlp import pohlig_hellman_dlog, semigroup_dlog, factor_integer
+from .core import NoSolutionError, SemigroupError, power
+from .cycle import CYCLE_ALGORITHMS, find_cycle, least_period
+from .dlp import DLOG_SOLVERS
 from .instances import ElementSpecError, parse_element_spec
 from .selftest import run_selftests
 
@@ -42,8 +36,7 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_NO_SOLUTION = 4
 
-CYCLE_ALGS = ("deterministic", "monico", "banin-tsaban", "brute")
-DLOG_ALGS = ("reduction", "pohlig-hellman")
+DLOG_ALGS = tuple(DLOG_SOLVERS)
 
 
 def _default_seed() -> int:
@@ -100,8 +93,8 @@ def _verify_cycle(ctx, x, start, length) -> str | None:
     """Cheap exactness check of a reported (start, length) pair.
 
     Confirms the defining equality, the minimality of the start, and the
-    minimality of the length over its prime cofactors.  Returns an error
-    string on failure.
+    minimality of the length by its prime-cofactor reduction.  Returns an
+    error string on failure.
     """
     anchor = power(ctx, x, start)
     if not ctx.equal(ctx.mul(power(ctx, x, length), anchor), anchor):
@@ -110,11 +103,10 @@ def _verify_cycle(ctx, x, start, length) -> str | None:
         prev = power(ctx, x, start - 1)
         if ctx.equal(ctx.mul(power(ctx, x, length), prev), prev):
             return f"cycle start {start} is not minimal"
-    for p, _ in factor_integer(length):
-        shorter = length // p
-        if ctx.equal(ctx.mul(power(ctx, x, shorter), anchor), anchor):
-            return (f"reported length {length} is a proper multiple: "
-                    f"x^{start + shorter} = x^{start}")
+    least = least_period(ctx, x, anchor, length)
+    if least != length:
+        return (f"reported length {length} is a proper multiple: "
+                f"x^{start + least} = x^{start}")
     return None
 
 
@@ -122,26 +114,10 @@ def cmd_cycle(args) -> int:
     ctx, x = _load_spec(args.element)
     seed = args.seed
     rounds = _parse_rounds(args.rounds) if args.rounds else None
-    trace_json = None
-    if args.alg == "brute":
-        cyc = brute_force_cycle(ctx, x)
-        start, length = cyc.cycle_start, cyc.cycle_length
-    elif args.alg == "deterministic":
-        length, trace = deterministic_cycle_length(ctx, x, args.bound)
-        trace_json = trace.to_json()
-        start = cycle_start_search(ctx, x, length)
-    elif args.alg == "monico":
-        length, trace = monico_cycle_length(ctx, x, args.bound,
-                                            args.divisor_bound, seed)
-        trace_json = trace.to_json()
-        start = cycle_start_search(ctx, x, length)
-    else:  # banin-tsaban
-        inner, outer = rounds if rounds else (4, None)
-        length, trace = banin_tsaban_cycle_length(
-            ctx, x, args.bound or 16, inner_rounds=inner,
-            outer_rounds=outer, seed=seed)
-        trace_json = trace.to_json()
-        start = cycle_start_search(ctx, x, length)
+    cyc, trace = find_cycle(ctx, x, args.alg, args.bound, args.divisor_bound,
+                            rounds, seed)
+    start, length = cyc.cycle_start, cyc.cycle_length
+    trace_json = trace.to_json() if trace else None
 
     problem = None if args.no_verify else _verify_cycle(ctx, x, start, length)
     result = {
@@ -149,8 +125,7 @@ def cmd_cycle(args) -> int:
         "algorithm": args.alg,
         "instance": ctx.describe(),
         "element": ctx.element_json(x),
-        "cycle": {"cycle_start": start, "cycle_length": length,
-                  "order": start + length - 1},
+        "cycle": cyc.to_json(),
         "multiplications": ctx.mult_count,
         "seed": seed,
         "verified": None if args.no_verify else problem is None,
@@ -162,7 +137,7 @@ def cmd_cycle(args) -> int:
         lines = [
             f"instance: {json.dumps(ctx.describe(), sort_keys=True)}",
             f"algorithm: {args.alg}",
-            f"cycle_start={start} cycle_length={length} order={start + length - 1}",
+            f"cycle_start={start} cycle_length={length} order={cyc.order}",
             f"multiplications: {ctx.mult_count}",
         ]
         if problem:
@@ -181,13 +156,8 @@ def cmd_dlog(args) -> int:
         raise ElementSpecError(
             f"base and target live in different instances: "
             f"{ctx.describe()} vs {ctx_y.describe()}")
-    length, _ = deterministic_cycle_length(ctx, x, args.bound)
-    start = cycle_start_search(ctx, x, length)
-    cyc = CycleStructure(start, length)
-    if args.alg == "pohlig-hellman":
-        sol, trace = pohlig_hellman_dlog(ctx, x, y, cyc)
-    else:
-        sol, trace = semigroup_dlog(ctx, x, y, cyc)
+    cyc, _ = find_cycle(ctx, x, "deterministic", args.bound)
+    sol, trace = DLOG_SOLVERS[args.alg](ctx, x, y, cyc)
     # confirm before reporting
     if not ctx.equal(power(ctx, x, sol.smallest()), y):
         print("error: solver output failed the power check", file=sys.stderr)
@@ -287,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycle = sub.add_parser("cycle", help="compute cycle start and length")
     p_cycle.add_argument("element", metavar="ELEMENT_SPEC",
                          help="inline JSON element spec or @file")
-    p_cycle.add_argument("--alg", choices=CYCLE_ALGS, default="deterministic")
+    p_cycle.add_argument("--alg", choices=CYCLE_ALGORITHMS,
+                         default="deterministic")
     p_cycle.add_argument("--bound", type=int, default=None,
                          help="known upper bound on the order; forces a "
                               "single round instead of doubling")
@@ -312,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family", required=True,
                          choices=("zmod", "matmod", "boolmat",
                                   "transformation", "monogenic"))
-    p_bench.add_argument("--alg", choices=CYCLE_ALGS, default="deterministic")
+    p_bench.add_argument("--alg", choices=CYCLE_ALGORITHMS,
+                         default="deterministic")
     p_bench.add_argument("--sizes", default="",
                          help="comma-separated instance sizes (0x/0b forms ok)")
     p_bench.add_argument("--trials", type=int, default=1)

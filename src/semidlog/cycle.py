@@ -12,8 +12,10 @@ Four routes to the cycle structure:
                               answers for random powers
 
 plus cycle_start_search (doubling + bisection once the cycle length is
-known) and group_dlog_oracle (the inverse-free collision oracle the
-Banin-Tsaban route relies on).
+known), least_period (prime-cofactor reduction of a verified multiple of
+the cycle length), group_dlog_oracle (the inverse-free collision oracle
+the Banin-Tsaban route relies on) and find_cycle, the one dispatch from an
+algorithm name in CYCLE_ALGORITHMS to a full cycle structure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
 )
 from .numtheory import (
     ceil_sqrt,
-    divisors,
+    factor_integer,
     next_prime,
     prime_power_divisors_below,
 )
@@ -229,6 +231,26 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     return s
 
 
+def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
+    """The cycle length, from a multiple g of it verified at an in-cycle
+    element `base` (so x^g * base = base).
+
+    Prime-cofactor reduction: for each prime p of g in ascending order,
+    divide g by p while x^(g/p) * base = base still holds.  The periods of
+    `base` are exactly the multiples of the cycle length, so what remains
+    is the least one.  Costs at most one check per prime factor of g,
+    counted with multiplicity, plus one per distinct prime.
+    """
+    try:
+        primes = factor_integer(g)
+    except ValueError as exc:
+        raise SemigroupError(f"cannot reduce {g}: {exc}") from None
+    for p, _ in primes:
+        while g % p == 0 and ctx.mul(power(ctx, x, g // p), base) == base:
+            g //= p
+    return g
+
+
 @dataclass
 class MonicoTrace:
     bound: int = 0
@@ -243,6 +265,10 @@ class MonicoTrace:
     attempts: list = field(default_factory=list)  # bounds of failed rounds
     multiplications: int = 0
     cycle_length: int | None = None
+
+    @property
+    def table_peak(self) -> int:
+        return self.m + 1
 
     def to_json(self) -> dict:
         return {
@@ -271,6 +297,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     The list is not recomputed as g shrinks, so prime factors above the
     bound are never removed and the result can stay a proper multiple.
     """
+    ctx.validate(x)
     if g < 1:
         raise SemigroupError("g must be >= 1")
     base = power(ctx, x, anchor_exp)
@@ -305,10 +332,14 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
         if first != i and duplicate is None:
             duplicate = (first, i)
 
+    # strip at an exponent the collision certifies to lie in the cycle
+    # (the smaller of two with equal powers): at a pre-cycle exponent no
+    # proper divisor of g ever closes the cycle
     if duplicate is not None:
         i1, i2 = duplicate
         trace.duplicate_pair = duplicate
         g = (i2 - i1) * m
+        anchor = q + i1 * m
     else:
         def least_shift(offset_exp):
             # smallest b in [1, m] with x^(offset_exp + b) in the table;
@@ -333,10 +364,14 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
         g = math.gcd(abs(a1 * m - b1), abs(a2 * m - b2 - q))
         if g == 0:
             return None
+        # x^(q+b1) = x^(q+a1*m), x^(2q+b2) = x^(q+a2*m); g > 0 means one
+        # pair has distinct exponents
+        anchor = (q + min(b1, a1 * m) if a1 * m != b1
+                  else min(2 * q + b2, q + a2 * m))
 
     trace.gcd_value = g
     stripped: list = []
-    result = monico_strip(ctx, x, bound, g, divisor_bound, stripped)
+    result = monico_strip(ctx, x, anchor, g, divisor_bound, stripped)
     trace.stripped_divisors = stripped
     return result
 
@@ -346,11 +381,11 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
                         seed: int | None = None):
     """Monico's baby-step giant-step route; returns (L, MonicoTrace).
 
-    With a valid bound (at least the order of x) the output is always a
-    positive multiple of the cycle length; it equals the cycle length
-    unless stripping misses a factor above `divisor_bound`, an event whose
-    probability drops off as (1 - 1/B)^log(g).  Without a bound the search
-    doubles an internal bound until collisions appear.
+    With a valid bound (at least the order of x) or without one (the
+    search then doubles an internal bound until collisions appear), the
+    output is a positive multiple of the cycle length; it equals the cycle
+    length unless stripping misses a factor above `divisor_bound`, an
+    event whose probability drops off as (1 - 1/B)^log(g).
 
     The computation is deterministic: the prime offset is the smallest
     prime above the bound.  `seed` is accepted for interface uniformity
@@ -395,6 +430,8 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     exponent the smallest one the table can express; it is at most
     q(q+1) <= 2*bound.
     """
+    ctx.validate(h)
+    ctx.validate(target)
     if bound < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
@@ -432,6 +469,8 @@ class BaninRound:
 
 @dataclass
 class BaninTrace:
+    table_peak = None  # the oracle's tables are not tracked
+
     bound: int = 0
     rounds: list = field(default_factory=list)
     lcm_candidate: int = 0
@@ -497,14 +536,12 @@ def _banin_attempt(ctx, x, bound, inner, outer, rng, trace):
     base = power(ctx, x, anchor)
     if ctx.mul(power(ctx, x, acc), base) != base:
         return None
-    # candidate verified to be a multiple of the cycle length; correct it
-    # to the minimal divisor that still closes the cycle
-    for d in divisors(acc):
-        if ctx.mul(power(ctx, x, d), base) == base:
-            trace.verified = True
-            trace.corrected_from = acc if d != acc else None
-            return d
-    return None  # unreachable: acc itself verifies
+    # candidate verified to be a multiple of the cycle length; reduce it
+    # by its prime cofactors to the cycle length
+    length = least_period(ctx, x, base, acc)
+    trace.verified = True
+    trace.corrected_from = acc if length != acc else None
+    return length
 
 
 def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
@@ -517,8 +554,8 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     the differences k_i - k_i' over `inner_rounds` oracle queries with
     random k_i in [bound+1, 2*bound]; the per-round gcds accumulate by
     lcm.  The accumulated candidate is checked against a certified
-    in-cycle exponent and divisor-corrected down to the cycle length; any
-    failure (oracle miss because z fell below the cycle start, no
+    in-cycle exponent and reduced by prime cofactors to the cycle length;
+    any failure (oracle miss because z fell below the cycle start, no
     certificate, candidate not a multiple) doubles the bound and retries.
     Outer rounds default to ceil(log2 log2 bound) + 1.
     """
@@ -547,9 +584,40 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
         f"no verified cycle length within {max_doublings} doublings")
 
 
+CYCLE_ALGORITHMS = ("deterministic", "monico", "banin-tsaban", "brute")
+
+
+def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
+               divisor_bound: int = 10 ** 4, rounds: tuple | None = None,
+               seed: int = 0):
+    """Cycle structure of x by the algorithm named `alg`, one of
+    CYCLE_ALGORITHMS; returns (CycleStructure, trace or None).
+
+    "brute" enumerates powers and has no trace.  Every other algorithm
+    computes the cycle length (bound-free when `bound` is None) and then
+    runs cycle_start_search.  `divisor_bound` and `seed` go to Monico;
+    Banin-Tsaban takes `bound` or 16 as its starting bound, `rounds` =
+    (inner, outer) or (4, None), and `seed`.
+    """
+    if alg == "brute":
+        return brute_force_cycle(ctx, x), None
+    if alg == "deterministic":
+        length, trace = deterministic_cycle_length(ctx, x, bound)
+    elif alg == "monico":
+        length, trace = monico_cycle_length(ctx, x, bound, divisor_bound,
+                                            seed)
+    elif alg == "banin-tsaban":
+        inner, outer = rounds or (4, None)
+        length, trace = banin_tsaban_cycle_length(
+            ctx, x, bound or 16, inner_rounds=inner, outer_rounds=outer,
+            seed=seed)
+    else:
+        raise SemigroupError(f"unknown cycle algorithm {alg!r}; expected "
+                             f"one of {', '.join(CYCLE_ALGORITHMS)}")
+    return CycleStructure(cycle_start_search(ctx, x, length), length), trace
+
+
 def cycle_structure(ctx: SemigroupContext, x,
                     known_bound: int | None = None) -> CycleStructure:
     """Full (start, length, order) via the deterministic route."""
-    length, _ = deterministic_cycle_length(ctx, x, known_bound)
-    start = cycle_start_search(ctx, x, length)
-    return CycleStructure(start, length)
+    return find_cycle(ctx, x, "deterministic", known_bound)[0]

@@ -15,6 +15,7 @@ re-exported here for convenience.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -47,6 +48,7 @@ class GroupView:
 
 def make_group_view(ctx: SemigroupContext, x,
                     cycle: CycleStructure) -> GroupView:
+    ctx.validate(x)
     s, length = cycle.cycle_start, cycle.cycle_length
     t = -(-s // length)
     identity = power(ctx, x, t * length)
@@ -87,6 +89,8 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     zeroth power exists.  Costs at most 2q + O(log order) multiplications
     and stores q + 1 table entries.
     """
+    ctx.validate(generator)
+    ctx.validate(target)
     if order < 1:
         raise SemigroupError("order must be >= 1")
     if target == gv.identity:
@@ -162,6 +166,27 @@ class DlogTrace:
                 "c": self.c, "raw": self.raw}
 
 
+@dataclass
+class PrimePowerRecord:
+    prime: int
+    exponent: int
+    digits: list
+    residue: int
+
+    def to_json(self) -> dict:
+        return {"prime": self.prime, "exponent": self.exponent,
+                "digits": self.digits, "residue": self.residue}
+
+
+@dataclass
+class PohligHellmanTrace(DlogTrace):
+    prime_records: list = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(),
+                "primes": [r.to_json() for r in self.prime_records]}
+
+
 def _shift_into_group(ctx, gv, y):
     """Minimal b in [0, t] with y*x^(bL) in the group, plus that product.
 
@@ -216,23 +241,20 @@ def _closing_shift(ctx, gv, m_prime_effective):
     return lo, a
 
 
-def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
-    """All m with x^m = y, given the cycle structure of x.
+def _solve(ctx, x, y, cycle, group_log, trace):
+    """The reduction shared by both solvers.
 
-    Reduction to the internal group: shift y into the group (binary search
-    for b), one inverse-free BSGS for m' = log of the shifted target with
-    base x', then a second binary search for the maximal c that keeps
-    x^((tL+1)m' - cL) in the group.  The exponent (tL+1)m' - (b+c)L is the
-    discrete logarithm; both searches cost O((log N)^2) multiplications.
-    Returns (DlogSolution, DlogTrace); raises NoSolutionError when y is
-    not a power of x.
+    Shift y into the group (binary search for b), take m' = log of the
+    shifted target to the base x' with `group_log(gv, y')`, then a second
+    binary search for the maximal c that keeps x^((tL+1)m' - cL) in the
+    group.  The exponent (tL+1)m' - (b+c)L is the discrete logarithm.
+    Fills in `trace` and returns (DlogSolution, trace).
     """
-    ctx.validate(x)
     ctx.validate(y)
-    gv = make_group_view(ctx, x, cycle)
+    gv = make_group_view(ctx, x, cycle)  # validates x
     b, y_prime = _shift_into_group(ctx, gv, y)
     length = cycle.cycle_length
-    m_prime = bsgs_group_dlog(ctx, gv, gv.generator, y_prime, length)
+    m_prime = group_log(gv, y_prime)
     m_eff = m_prime if m_prime else length  # no x^0: identity is (x')^L
     c, a = _closing_shift(ctx, gv, m_eff)
     raw = a - (b + c) * length
@@ -240,41 +262,23 @@ def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     # catches whatever the collision searches let through
     if raw < 1 or power(ctx, x, raw) != y:
         raise NoSolutionError("y is not a power of the base")
-    trace = DlogTrace(b=b, m_prime=m_prime, m_prime_effective=m_eff, c=c,
-                      raw=raw)
+    trace.b, trace.m_prime, trace.m_prime_effective = b, m_prime, m_eff
+    trace.c, trace.raw = c, raw
     return solution_set(raw, cycle), trace
 
 
-@dataclass
-class PrimePowerRecord:
-    prime: int
-    exponent: int
-    digits: list
-    residue: int
+def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
+    """All m with x^m = y, given the cycle structure of x.
 
-    def to_json(self) -> dict:
-        return {"prime": self.prime, "exponent": self.exponent,
-                "digits": self.digits, "residue": self.residue}
+    One inverse-free BSGS for m' inside the group, between two binary
+    searches of O((log N)^2) multiplications each.  Returns (DlogSolution,
+    DlogTrace); raises NoSolutionError when y is not a power of x.
+    """
+    def group_log(gv, y_prime):
+        return bsgs_group_dlog(ctx, gv, gv.generator, y_prime,
+                               cycle.cycle_length)
 
-
-@dataclass
-class PohligHellmanTrace:
-    b: int = 0
-    prime_records: list = field(default_factory=list)
-    m_prime: int = 0
-    m_prime_effective: int = 0
-    c: int = 0
-    raw: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "b": self.b,
-            "primes": [r.to_json() for r in self.prime_records],
-            "m_prime": self.m_prime,
-            "m_prime_effective": self.m_prime_effective,
-            "c": self.c,
-            "raw": self.raw,
-        }
+    return _solve(ctx, x, y, cycle, group_log, DlogTrace())
 
 
 def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
@@ -290,50 +294,42 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
     sets.  Whenever a partial exponent n_k is zero the z^(n_k) factor is
     simply omitted (no zeroth power exists in a semigroup).
     """
-    ctx.validate(x)
-    ctx.validate(y)
     length = cycle.cycle_length
     if factorization is None:
-        factorization = factor_integer(length)
-    check = 1
-    for p, e in factorization:
-        check *= p ** e
-    if check != length:
+        try:
+            factorization = factor_integer(length)
+        except ValueError as exc:
+            raise SemigroupError(
+                f"cannot factor the cycle length: {exc}") from None
+    if math.prod(p ** e for p, e in factorization) != length:
         raise SemigroupError(
             f"factorization {factorization} does not multiply to {length}")
+    trace = PohligHellmanTrace()
 
-    gv = make_group_view(ctx, x, cycle)
-    b, y_prime = _shift_into_group(ctx, gv, y)
-    trace = PohligHellmanTrace(b=b)
+    def group_log(gv, y_prime):
+        residues = []
+        for p, e in factorization:
+            pe = p ** e
+            cof = length // pe
+            xi = power(ctx, gv.generator, cof) if cof > 1 else gv.generator
+            yi = power(ctx, y_prime, cof) if cof > 1 else y_prime
+            gamma = power(ctx, xi, p ** (e - 1)) if e > 1 else xi
+            zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
+            n_k = 0
+            digits = []
+            for k in range(e):
+                adjusted = ctx.mul(yi, power(ctx, zi, n_k)) if n_k else yi
+                lift = p ** (e - 1 - k)
+                y_k = power(ctx, adjusted, lift) if lift > 1 else adjusted
+                d_k = bsgs_group_dlog(ctx, gv, gamma, y_k, p)
+                digits.append(d_k)
+                n_k += p ** k * d_k
+            residues.append((n_k, pe))
+            trace.prime_records.append(PrimePowerRecord(p, e, digits, n_k))
+        return crt_combine(residues) if residues else 0
 
-    residues = []
-    for p, e in factorization:
-        pe = p ** e
-        cof = length // pe
-        xi = power(ctx, gv.generator, cof) if cof > 1 else gv.generator
-        yi = power(ctx, y_prime, cof) if cof > 1 else y_prime
-        gamma = power(ctx, xi, p ** (e - 1)) if e > 1 else xi
-        zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
-        n_k = 0
-        digits = []
-        for k in range(e):
-            adjusted = ctx.mul(yi, power(ctx, zi, n_k)) if n_k else yi
-            lift = p ** (e - 1 - k)
-            y_k = power(ctx, adjusted, lift) if lift > 1 else adjusted
-            d_k = bsgs_group_dlog(ctx, gv, gamma, y_k, p)
-            digits.append(d_k)
-            n_k += p ** k * d_k
-        residues.append((n_k, pe))
-        trace.prime_records.append(PrimePowerRecord(p, e, digits, n_k))
+    return _solve(ctx, x, y, cycle, group_log, trace)
 
-    m_prime = crt_combine(residues) if residues else 0
-    m_eff = m_prime if m_prime else length
-    c, a = _closing_shift(ctx, gv, m_eff)
-    raw = a - (b + c) * length
-    if raw < 1 or power(ctx, x, raw) != y:
-        raise NoSolutionError("y is not a power of the base")
-    trace.m_prime = m_prime
-    trace.m_prime_effective = m_eff
-    trace.c = c
-    trace.raw = raw
-    return solution_set(raw, cycle), trace
+
+DLOG_SOLVERS = {"reduction": semigroup_dlog,
+                "pohlig-hellman": pohlig_hellman_dlog}

@@ -142,14 +142,6 @@ def factor_integer(n: int) -> list:
     return sorted(factors.items())
 
 
-def divisors(n: int) -> list:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factor_integer(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def prime_power_divisors_below(n: int, bound: int) -> list:
     """Prime-power divisors p^k of n with p^k <= bound, descending.
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import power
-from .cycle import brute_force_cycle, cycle_start_search, deterministic_cycle_length
+from .cycle import brute_force_cycle, cycle_structure
 from .dlp import (
     in_group,
     inverse_in_group,
@@ -64,13 +64,13 @@ def _sample_instances(seed: int):
 def suite_oracle_equivalence(seed: int) -> SuiteResult:
     for ctx, x in _sample_instances(seed):
         expected = brute_force_cycle(ctx, x)
-        length, _ = deterministic_cycle_length(ctx, x)
-        start = cycle_start_search(ctx, x, length)
-        if (start, length) != (expected.cycle_start, expected.cycle_length):
+        got = cycle_structure(ctx, x)
+        if got != expected:
             return SuiteResult(
                 "oracle-equivalence", False,
-                f"{ctx!r} element {x!r}: got ({start}, {length}), "
-                f"expected ({expected.cycle_start}, {expected.cycle_length})")
+                f"{ctx!r} element {x!r}: got ({got.cycle_start}, "
+                f"{got.cycle_length}), expected ({expected.cycle_start}, "
+                f"{expected.cycle_length})")
     return SuiteResult("oracle-equivalence", True,
                        "deterministic route matches brute force")
 

@@ -6,6 +6,15 @@ import sys
 import pytest
 
 import semidlog
+from semidlog import (
+    banin_tsaban_cycle_length,
+    brute_force_cycle,
+    cycle_start_search,
+    deterministic_cycle_length,
+    make_context,
+    monico_cycle_length,
+    parse_element_spec,
+)
 from semidlog.cli import main
 
 ZMOD2 = '{"type":"zmod","modulus":100,"value":2}'
@@ -74,6 +83,116 @@ def test_cycle_verification_failure_exit_3(capsys):
          "--no-verify", spec], capsys)
     assert code == 0
     assert "cycle_length=165" in out
+
+
+# ------------------------------------------ dispatch matches the library
+
+CYCLE_ALGS = ("deterministic", "monico", "banin-tsaban", "brute")
+# (--bound, --B, --rounds) for the CLI; None leaves the flag unset
+FLAG_SETS = {"unset": (None, None, None), "set": (64, 100, (3, 2))}
+
+
+def _flags(bound, divisor_bound, rounds):
+    out = []
+    if bound is not None:
+        out += ["--bound", str(bound)]
+    if divisor_bound is not None:
+        out += ["--B", str(divisor_bound)]
+    if rounds is not None:
+        out += ["--rounds", f"{rounds[0]},{rounds[1]}"]
+    return out
+
+
+def _library_cycle(ctx, x, alg, bound, divisor_bound, rounds, seed):
+    """Each algorithm called directly with the CLI's documented defaults:
+    --B 10^4, and for banin-tsaban a starting bound of 16 and rounds 4,
+    with the outer count derived from the bound.  Returns (start, length,
+    trace or None)."""
+    if alg == "brute":
+        cyc = brute_force_cycle(ctx, x)
+        return cyc.cycle_start, cyc.cycle_length, None
+    if alg == "deterministic":
+        length, trace = deterministic_cycle_length(ctx, x, bound)
+    elif alg == "monico":
+        length, trace = monico_cycle_length(ctx, x, bound,
+                                            divisor_bound or 10 ** 4)
+    else:
+        inner, outer = rounds or (4, None)
+        length, trace = banin_tsaban_cycle_length(
+            ctx, x, bound or 16, inner_rounds=inner, outer_rounds=outer,
+            seed=seed)
+    return cycle_start_search(ctx, x, length), length, trace
+
+
+@pytest.mark.parametrize("flags", sorted(FLAG_SETS))
+@pytest.mark.parametrize("alg", CYCLE_ALGS)
+def test_cycle_dispatch_matches_library_call(alg, flags, capsys):
+    bound, divisor_bound, rounds = FLAG_SETS[flags]
+    code, out, _ = run_cli(
+        ["cycle", "--alg", alg, "--seed", "5", "--no-verify",
+         "--json-output", *_flags(bound, divisor_bound, rounds), ZMOD2],
+        capsys)
+    assert code == 0
+    doc = json.loads(out)
+
+    ctx, x = parse_element_spec(ZMOD2)
+    start, length, trace = _library_cycle(ctx, x, alg, bound, divisor_bound,
+                                          rounds, 5)
+    assert doc["cycle"] == {"cycle_start": start, "cycle_length": length,
+                            "order": start + length - 1}
+    assert doc["multiplications"] == ctx.mult_count
+    expected_trace = json.loads(json.dumps(trace.to_json())) if trace else None
+    assert doc["trace"] == expected_trace
+
+
+@pytest.mark.parametrize("flags", sorted(FLAG_SETS))
+@pytest.mark.parametrize("alg", CYCLE_ALGS)
+def test_bench_dispatch_matches_library_call(alg, flags, capsys):
+    bound, divisor_bound, rounds = FLAG_SETS[flags]
+    code, out, _ = run_cli(
+        ["bench", "--family", "monogenic", "--alg", alg, "--sizes", "40,90",
+         "--trials", "2", "--seed", "3", "--format", "jsonl",
+         *_flags(bound, divisor_bound, rounds)], capsys)
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 4
+    for row in rows:
+        row.pop("wall_time_s")
+        params = json.loads(row["instance"])
+        ctx = make_context("monogenic", params)
+        size = params["s"] + params["L"] - 1
+        # bench pins the bound of the randomized baselines to the
+        # monogenic construction's order when --bound is unset
+        run_bound = bound
+        if bound is None and alg in ("monico", "banin-tsaban"):
+            run_bound = size
+        start, length, trace = _library_cycle(
+            ctx, 1, alg, run_bound, divisor_bound, rounds, row["seed"])
+        truth = brute_force_cycle(make_context("monogenic", params), 1)
+        peak = {"deterministic": lambda: trace.table_peak,
+                "monico": lambda: trace.m + 1,
+                "banin-tsaban": lambda: None,
+                "brute": lambda: truth.order}[alg]()
+        assert row == {
+            "algorithm": alg, "instance": row["instance"],
+            "multiplications": ctx.mult_count, "order": truth.order,
+            "seed": row["seed"], "table_peak": peak, "trial": row["trial"],
+            "success": (start, length) == (truth.cycle_start,
+                                           truth.cycle_length)}
+
+
+def test_cycle_unfactorable_length_exits_3(capsys, monkeypatch):
+    # a length beyond factor_integer's 2^63 limit fails verification with
+    # exit 3 and a message, never a traceback
+    import semidlog.cli
+    from semidlog import CycleStructure
+
+    monkeypatch.setattr(semidlog.cli, "find_cycle",
+                        lambda *args: (CycleStructure(1, 1 << 63), None))
+    code, _, err = run_cli(
+        ["cycle", '{"type":"monogenic","s":1,"L":1,"e":1}'], capsys)
+    assert code == 3
+    assert "cannot reduce" in err
 
 
 def test_dlog_progression(capsys):

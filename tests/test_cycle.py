@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import semidlog
 from semidlog import (
     IncompatibleElementError,
     MonogenicContext,
@@ -15,7 +16,9 @@ from semidlog import (
     cycle_start_search,
     cycle_structure,
     deterministic_cycle_length,
+    find_cycle,
     group_dlog_oracle,
+    least_period,
     monico_cycle_length,
     monico_strip,
     power,
@@ -47,6 +50,23 @@ def test_cycle_entry_points_reject_foreign_elements(entry, foreign):
     factory, x = FOREIGN_ELEMENTS[foreign]
     with pytest.raises(IncompatibleElementError):
         CYCLE_ENTRY_POINTS[entry](factory(), x)
+
+
+# helpers that take elements check them too, whatever the entry point did
+HELPER_CALLS = {
+    "monico-strip-x": lambda: monico_strip(ZModContext(100), 250, 5, 40, 100),
+    "oracle-h": lambda: group_dlog_oracle(ZModContext(100), 250, 4, 64),
+    "oracle-target-unhashable": lambda: group_dlog_oracle(
+        ZModContext(100), 4, [3], 64),
+    "oracle-target-exponent-zero": lambda: group_dlog_oracle(
+        MonogenicContext(5, 12), 1, 0, 64),
+}
+
+
+@pytest.mark.parametrize("call", sorted(HELPER_CALLS))
+def test_cycle_helpers_reject_foreign_elements(call):
+    with pytest.raises(IncompatibleElementError):
+        HELPER_CALLS[call]()
 
 
 # ---------------------------------------------------------------- brute force
@@ -227,6 +247,32 @@ def test_cycle_start_multiplication_envelope(instance_pool):
         assert used <= 16 * logn * logn
 
 
+def test_least_period_reduces_a_verified_multiple():
+    ctx = MonogenicContext(10, 12)
+    base = power(ctx, 1, 15)
+    for multiple in (12, 24, 36, 12 * 7 * 11, 12 ** 3, 12 << 40):
+        assert least_period(ctx, 1, base, multiple) == 12
+
+
+def test_least_period_exact_input_costs_one_check_per_prime():
+    # each check is x^(g/p) (square and multiply) times the base
+    ctx = MonogenicContext(1, 360)
+    base = power(ctx, 1, 3)
+    ctx.mult_count = 0
+    assert least_period(ctx, 1, base, 360) == 360
+    assert ctx.mult_count == sum(
+        e.bit_length() - 1 + bin(e).count("1") - 1 + 1
+        for e in (360 // 2, 360 // 3, 360 // 5))
+
+
+def test_least_period_rejects_unfactorable_input():
+    ctx = MonogenicContext(1, 1)
+    with pytest.raises(SemigroupError):
+        least_period(ctx, 1, 1, 1 << 63)
+    with pytest.raises(SemigroupError):
+        least_period(ctx, 1, 1, 0)
+
+
 def test_cycle_structure_convenience():
     cyc = cycle_structure(ZModContext(100), 2)
     assert (cyc.cycle_start, cyc.cycle_length, cyc.order) == (2, 20, 21)
@@ -318,6 +364,25 @@ def test_monico_overshoot_fixture():
     ctx = MonogenicContext(151, 55)
     length, _ = monico_cycle_length(ctx, 1, bound=206, divisor_bound=2)
     assert length == 165  # 3 * 55
+
+
+def test_monico_bound_free_strips_inside_the_cycle():
+    # the final doubling round sits at a bound far below the cycle start;
+    # stripping checked there would keep 48 = 8 * 6
+    length, trace = monico_cycle_length(MonogenicContext(300, 6), 1)
+    assert length == 6
+    assert trace.bound < 300
+
+
+def test_monico_bound_free_matches_brute_force():
+    # every prime of every L here is below the default divisor bound, so
+    # the bound-free result is the exact cycle length
+    for s in (1, 2, 5, 17, 64, 150, 300):
+        for true_len in range(1, 41):
+            ctx = MonogenicContext(s, true_len)
+            length, _ = monico_cycle_length(ctx, 1)
+            assert length == brute_force_cycle(ctx, 1).cycle_length, \
+                (s, true_len)
 
 
 def test_monico_bad_bound_raises():
@@ -437,6 +502,20 @@ def test_banin_reproducible_per_seed():
 
 
 # --------------------------------------------------------- cross-algorithm
+
+def test_find_cycle_every_algorithm_matches_brute_force(instance_pool):
+    for factory, x in instance_pool[::5]:
+        truth = brute_force_cycle(factory(), x)
+        for alg in semidlog.CYCLE_ALGORITHMS:
+            cyc, trace = find_cycle(factory(), x, alg, bound=truth.order + 1)
+            assert cyc == truth, (alg, factory(), x)
+            assert (trace is None) == (alg == "brute")
+
+
+def test_find_cycle_unknown_algorithm():
+    with pytest.raises(SemigroupError, match="unknown cycle algorithm"):
+        find_cycle(ZModContext(100), 2, "pollard")
+
 
 def test_all_cycle_routes_agree(instance_pool):
     rng = random.Random(31)

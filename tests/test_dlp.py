@@ -4,6 +4,7 @@ import pytest
 
 from semidlog import (
     CycleStructure,
+    DlogTrace,
     IncompatibleElementError,
     MonogenicContext,
     NoSolutionError,
@@ -262,6 +263,48 @@ def test_dlog_not_a_power_raises():
 def test_dlog_rejects_foreign_elements(solver, x, y):
     with pytest.raises(IncompatibleElementError):
         solver(ZModContext(100), x, y, CycleStructure(2, 20))
+
+
+def _zmod_bsgs(generator, target):
+    ctx, gv = zmod_view()
+    return bsgs_group_dlog(ctx, gv, generator, target, 20)
+
+
+# helpers that take elements check them too, whatever the solver did
+DLP_HELPER_CALLS = {
+    "group-view-base": lambda: make_group_view(ZModContext(100), 250,
+                                               CycleStructure(2, 20)),
+    "group-view-unhashable": lambda: make_group_view(
+        TransformationContext(3), [0, 1, 2], CycleStructure(1, 1)),
+    "bsgs-generator": lambda: _zmod_bsgs(250, 4),
+    "bsgs-target": lambda: _zmod_bsgs(4, "a"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(DLP_HELPER_CALLS))
+def test_dlp_helpers_reject_foreign_elements(call):
+    with pytest.raises(IncompatibleElementError):
+        DLP_HELPER_CALLS[call]()
+
+
+def test_ph_unfactorable_cycle_length_is_a_semigroup_error():
+    # factor_integer stops at 2^63; its ValueError must not escape
+    with pytest.raises(SemigroupError, match="cannot factor"):
+        pohlig_hellman_dlog(ZModContext(101), 2, 4, CycleStructure(1, 1 << 63))
+
+
+def test_trace_json_keys():
+    ctx = ZModContext(100)
+    _, trace = semigroup_dlog(ctx, 2, 68, CycleStructure(2, 20))
+    assert sorted(trace.to_json()) == ["b", "c", "m_prime",
+                                       "m_prime_effective", "raw"]
+    _, ph_trace = pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20))
+    assert isinstance(ph_trace, DlogTrace)
+    assert sorted(ph_trace.to_json()) == ["b", "c", "m_prime",
+                                          "m_prime_effective", "primes",
+                                          "raw"]
+    assert {k: v for k, v in ph_trace.to_json().items() if k != "primes"} \
+        == trace.to_json()
 
 
 def test_dlog_boundary_between_unique_and_progression():

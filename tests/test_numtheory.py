@@ -6,7 +6,6 @@ import pytest
 from semidlog.numtheory import (
     ceil_sqrt,
     crt_combine,
-    divisors,
     factor_integer,
     is_prime,
     next_prime,
@@ -82,12 +81,6 @@ def test_factor_integer_rejects_out_of_range():
         factor_integer(0)
     with pytest.raises(ValueError):
         factor_integer(1 << 63)
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(20) == [1, 2, 4, 5, 10, 20]
-    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
 
 def test_prime_power_divisors_below():
