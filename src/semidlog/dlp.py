@@ -59,7 +59,17 @@ def make_group_view(ctx: SemigroupContext, x,
 
 
 def in_group(ctx: SemigroupContext, gv: GroupView, y) -> bool:
-    """Membership test: one multiplication and one comparison."""
+    """Membership test: one multiplication and one comparison.
+
+    Raises IncompatibleElementError when y does not belong to the
+    context's instance.
+    """
+    ctx.validate(y)
+    return _in_group(ctx, gv, y)
+
+
+def _in_group(ctx, gv, y) -> bool:
+    """in_group for an element the caller has already validated."""
     return ctx.mul(y, gv.cycle_power) == y
 
 
@@ -194,7 +204,7 @@ def _shift_into_group(ctx, gv, y):
     of y past the cycle start); its failure at b = t means y is not a
     power of the base at all.
     """
-    if in_group(ctx, gv, y):
+    if _in_group(ctx, gv, y):
         return 0, y
     t, length = gv.t, gv.cycle.cycle_length
     x = gv.base
@@ -202,13 +212,13 @@ def _shift_into_group(ctx, gv, y):
     def shifted(b):
         return ctx.mul(y, power(ctx, x, b * length))
 
-    if t == 0 or not in_group(ctx, gv, shifted(t)):
+    if t == 0 or not _in_group(ctx, gv, shifted(t)):
         raise NoSolutionError("y*x^(tL) never enters the group; "
                               "y is not a power of the base")
     lo, hi = 0, t
     while hi - lo >= 2:
         mid = (lo + hi) // 2
-        if in_group(ctx, gv, shifted(mid)):
+        if _in_group(ctx, gv, shifted(mid)):
             hi = mid
         else:
             lo = mid
@@ -226,7 +236,7 @@ def _closing_shift(ctx, gv, m_prime_effective):
     x = gv.base
 
     def member(c):
-        return in_group(ctx, gv, power(ctx, x, a - c * length))
+        return _in_group(ctx, gv, power(ctx, x, a - c * length))
 
     hi = (a - 1) // length
     if hi == 0 or member(hi):

@@ -15,19 +15,25 @@ Five families, all torsion (every element has a finite power sequence):
 Element spec documents are UTF-8 JSON with a "type" tag, e.g.
 {"type": "zmod", "modulus": 100, "value": 2}.  Matrices are row-major
 arrays of arrays; transformation maps are 1-indexed externally (and
-0-indexed internally).
+0-indexed internally).  A boolmat element is held as one packed int, the
+integer of its key (see BoolMatContext).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import repeat
+from operator import itemgetter
 
 from .core import IncompatibleElementError, SemigroupContext, SemigroupError
 
 KEY_ENCODING_VERSION = 1
 
 FAMILIES = ("zmod", "matmod", "boolmat", "transformation", "monogenic")
+
+# bytes.translate table taking v to v + 1: 0-indexed images to key bytes
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 class ElementSpecError(SemigroupError):
@@ -40,6 +46,16 @@ class ElementSpecError(SemigroupError):
 
 def _byte_width(max_value: int) -> int:
     return max(1, (max(max_value, 1).bit_length() + 7) // 8)
+
+
+def _pack_bits(rows) -> int:
+    """A boolmat element from nested 0/1 rows: the entries row-major as
+    bits, first entry most significant."""
+    val = 0
+    for row in rows:
+        for bit in row:
+            val = (val << 1) | bit
+    return val
 
 
 class ZModContext(SemigroupContext):
@@ -124,7 +140,14 @@ class MatModContext(SemigroupContext):
 
 
 class BoolMatContext(SemigroupContext):
-    """d x d boolean matrices: entry_ij = OR_k (a_ik AND b_kj)."""
+    """d x d boolean matrices: entry_ij = OR_k (a_ik AND b_kj).
+
+    An element is one int: its d*d entries row-major, first entry most
+    significant, which is the integer its version-1 key encodes.  Row i
+    fills bits [(d-1-i)*d, (d-i)*d) and entry (i, j) is bit
+    (d-1-i)*d + d-1-j.  Nested 0/1 rows become an element through
+    `parse_element_spec`, and `element_json` turns it back.
+    """
 
     family = "boolmat"
 
@@ -134,31 +157,30 @@ class BoolMatContext(SemigroupContext):
         super().__init__()
         self.dim = dim
         self._width = (dim * dim + 7) // 8
+        self._limit = 1 << (dim * dim)
+        self._rowfill = (1 << dim) - 1  # the lowest row, all ones
+        self._rowrep = sum(1 << (i * dim) for i in range(dim))  # row low bits
+        # for each k: column k's mask, its shift to the rows' low bits,
+        # and the shift that brings row k down to the lowest row
+        self._steps = tuple(
+            (self._rowrep << (dim - 1 - k), dim - 1 - k, (dim - 1 - k) * dim)
+            for k in range(dim))
 
     def _product(self, a, b):
-        n = self.dim
-        rng = range(n)
-        return tuple(
-            tuple(1 if any(a[i][k] and b[k][j] for k in rng) else 0
-                  for j in rng)
-            for i in rng
-        )
+        # word-parallel: term k spreads a's column k over whole rows and
+        # copies b's row k into every row; c is the OR of their ANDs
+        fill, rep = self._rowfill, self._rowrep
+        c = 0
+        for colmask, sh, rsh in self._steps:
+            c |= (((a & colmask) >> sh) * fill) & (((b >> rsh) & fill) * rep)
+        return c
 
     def key(self, a) -> bytes:
         # row-major bits, first entry most significant
-        val = 0
-        for row in a:
-            for bit in row:
-                val = (val << 1) | bit
-        return val.to_bytes(self._width, "big")
+        return a.to_bytes(self._width, "big")
 
     def validate(self, a):
-        ok = (
-            isinstance(a, tuple) and len(a) == self.dim
-            and all(isinstance(r, tuple) and len(r) == self.dim for r in a)
-            and all(v in (0, 1) for r in a for v in r)
-        )
-        if not ok:
+        if not isinstance(a, int) or not 0 <= a < self._limit:
             raise IncompatibleElementError(
                 f"not a {self.dim}x{self.dim} boolean matrix")
         return a
@@ -167,7 +189,11 @@ class BoolMatContext(SemigroupContext):
         return {"type": "boolmat", "dim": self.dim}
 
     def element_json(self, a) -> dict:
-        return {"type": "boolmat", "entries": [list(row) for row in a]}
+        d = self.dim
+        bits = format(a, f"0{d * d}b")
+        return {"type": "boolmat",
+                "entries": [[int(c) for c in bits[i:i + d]]
+                            for i in range(0, d * d, d)]}
 
 
 class TransformationContext(SemigroupContext):
@@ -187,15 +213,18 @@ class TransformationContext(SemigroupContext):
         self.degree = degree
 
     def _product(self, a, b):
-        return tuple(a[v] for v in b)
+        # itemgetter with a single index returns the bare item
+        return itemgetter(*b)(a) if self.degree > 1 else (a[b[0]],)
 
     def key(self, a) -> bytes:
-        return bytes(v + 1 for v in a)
+        return bytes(a).translate(_PLUS_ONE)
 
     def validate(self, a):
+        d = self.degree
         ok = (
-            isinstance(a, tuple) and len(a) == self.degree
-            and all(isinstance(v, int) and 0 <= v < self.degree for v in a)
+            isinstance(a, tuple) and len(a) == d
+            and all(map(isinstance, a, repeat(int)))
+            and min(a) >= 0 and max(a) < d
         )
         if not ok:
             raise IncompatibleElementError(
@@ -361,7 +390,7 @@ def parse_element_spec(text):
                     raise ElementSpecError(
                         "boolean matrix entries must be 0 or 1",
                         f"$.entries[{i}][{j}]")
-        return BoolMatContext(dim), mat
+        return BoolMatContext(dim), _pack_bits(mat)
 
     if family == "transformation":
         images = _require(doc, "map", list, "$")
@@ -400,8 +429,8 @@ def random_element(family: str, params: dict, seed: int):
                      for _ in range(d))
     if family == "boolmat":
         d = params["dim"]
-        return tuple(tuple(rng.randrange(2) for _ in range(d))
-                     for _ in range(d))
+        return _pack_bits([[rng.randrange(2) for _ in range(d)]
+                           for _ in range(d)])
     if family == "transformation":
         d = params["degree"]
         return tuple(rng.randrange(d) for _ in range(d))

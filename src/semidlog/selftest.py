@@ -24,6 +24,7 @@ from .dlp import (
     solution_set,
 )
 from .instances import (
+    BoolMatContext,
     MatModContext,
     MonogenicContext,
     TransformationContext,
@@ -58,6 +59,10 @@ def _sample_instances(seed: int):
         params = {"dim": 2, "modulus": rng.choice([2, 3, 5])}
         elem = random_element("matmod", params, rng.randrange(2 ** 30))
         pairs.append((MatModContext(**params), elem))
+    for _ in range(25):
+        dim = rng.choice([2, 3, 4, 5])
+        elem = random_element("boolmat", {"dim": dim}, rng.randrange(2 ** 30))
+        pairs.append((BoolMatContext(dim), elem))
     return pairs
 
 

@@ -148,7 +148,7 @@ def test_canonical_key_zmod_fixed_width_big_endian():
 def test_canonical_key_examples():
     from semidlog import BoolMatContext
     bm = BoolMatContext(2)
-    assert canonical_key(bm, ((1, 0), (0, 1))) == bytes([0b1001])
+    assert canonical_key(bm, 0b1001) == bytes([0b1001])
     tr = TransformationContext(4)
     assert canonical_key(tr, (1, 2, 3, 1)) == bytes([2, 3, 4, 2])
 

@@ -278,6 +278,8 @@ DLP_HELPER_CALLS = {
         TransformationContext(3), [0, 1, 2], CycleStructure(1, 1)),
     "bsgs-generator": lambda: _zmod_bsgs(250, 4),
     "bsgs-target": lambda: _zmod_bsgs(4, "a"),
+    "in-group-foreign": lambda: in_group(*zmod_view(), 250),
+    "in-group-unhashable": lambda: in_group(*zmod_view(), [68]),
 }
 
 

@@ -58,7 +58,7 @@ def test_parse_matrix_families():
     ctx2, elem2 = parse_element_spec(
         '{"type":"boolmat","entries":[[1,0],[0,1]]}')
     assert isinstance(ctx2, BoolMatContext)
-    assert elem2 == ((1, 0), (0, 1))
+    assert elem2 == 0b1001
 
 
 def test_parse_round_trip_through_element_json(instance_pool):
@@ -149,7 +149,7 @@ def test_known_cycle_structures():
 def test_boolmat_cycles_can_have_late_starts():
     # a nilpotent-ish shift plus diagonal: pre-cycle before stabilizing
     ctx = BoolMatContext(3)
-    shift = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    shift = 0b010_001_000
     cyc = brute_force_cycle(ctx, shift)
     assert cyc.cycle_start > 1
     assert cyc.cycle_length == 1
