@@ -21,8 +21,6 @@ from .core import SemigroupError
 from .cycle import brute_force_cycle, find_cycle
 from .instances import make_context, random_element
 
-ORACLE_CAP = 1 << 21
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -99,7 +97,7 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
             if check_oracle:
                 oracle_ctx = make_context(family, params)
                 try:
-                    truth = brute_force_cycle(oracle_ctx, elem, ORACLE_CAP)
+                    truth = brute_force_cycle(oracle_ctx, elem)
                 except SemigroupError:
                     truth = None
                 if truth is not None:

@@ -18,7 +18,7 @@ encodings, output); no algorithm needs it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 class SemigroupError(Exception):
@@ -156,8 +156,19 @@ class CycleStructure:
             )
 
     def to_json(self) -> dict:
-        return {
-            "cycle_start": self.cycle_start,
-            "cycle_length": self.cycle_length,
-            "order": self.order,
-        }
+        return asdict(self)
+
+
+_JSON_KEYS = {"gcd_value": "gcd", "attempts": "failed_bounds",
+              "prime_records": "primes"}
+
+
+class Trace:
+    """Base of the algorithm traces and their per-round records, all
+    dataclasses: the JSON form is the fields in order under their names,
+    the three in _JSON_KEYS renamed, with nested records serialized alike.
+    """
+
+    def to_json(self) -> dict:
+        return asdict(self, dict_factory=lambda items: {
+            _JSON_KEYS.get(name, name): value for name, value in items})

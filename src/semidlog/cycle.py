@@ -29,16 +29,19 @@ from .core import (
     OracleFailureError,
     SemigroupContext,
     SemigroupError,
+    Trace,
     power,
 )
 from .numtheory import (
     ceil_sqrt,
     factor_integer,
+    first_true,
     next_prime,
     prime_power_divisors_below,
 )
 
-BRUTE_FORCE_CAP = 10 ** 7
+# brute force tabulates every power, so it stops after this many
+BRUTE_FORCE_CAP = 1 << 21
 _DOUBLING_CAP = 1 << 62
 
 
@@ -67,7 +70,7 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
 
 
 @dataclass(frozen=True)
-class Alg4Round:
+class Alg4Round(Trace):
     """One doubling round of the deterministic algorithm."""
 
     bound: int
@@ -78,20 +81,9 @@ class Alg4Round:
     accepted: bool
     table_size: int
 
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "stride": self.stride,
-            "baby_hit": self.baby_hit,
-            "giant_hit": list(self.giant_hit) if self.giant_hit else None,
-            "candidate": self.candidate,
-            "accepted": self.accepted,
-            "table_size": self.table_size,
-        }
-
 
 @dataclass
-class Alg4Trace:
+class Alg4Trace(Trace):
     rounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
@@ -101,12 +93,7 @@ class Alg4Trace:
         return max((r.table_size for r in self.rounds), default=0)
 
     def to_json(self) -> dict:
-        return {
-            "rounds": [r.to_json() for r in self.rounds],
-            "multiplications": self.multiplications,
-            "cycle_length": self.cycle_length,
-            "table_peak": self.table_peak,
-        }
+        return {**super().to_json(), "table_peak": self.table_peak}
 
 
 def _alg4_round(ctx: SemigroupContext, x, bound: int):
@@ -219,16 +206,7 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
             raise SemigroupError(
                 f"x^(c+{cycle_length}) never equals x^c for c <= {max_start}; "
                 "the supplied cycle length is not a multiple of the true one")
-    if s == 1:
-        return 1
-    lo = s // 2  # predicate known false here
-    while s - lo >= 2:
-        mid = (lo + s) // 2
-        if holds(mid):
-            s = mid
-        else:
-            lo = mid
-    return s
+    return first_true(holds, s // 2, s)
 
 
 def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
@@ -252,7 +230,7 @@ def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
 
 
 @dataclass
-class MonicoTrace:
+class MonicoTrace(Trace):
     bound: int = 0
     m: int = 0
     prime: int = 0
@@ -269,22 +247,6 @@ class MonicoTrace:
     @property
     def table_peak(self) -> int:
         return self.m + 1
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "m": self.m,
-            "prime": self.prime,
-            "duplicate_pair": list(self.duplicate_pair) if self.duplicate_pair else None,
-            "collision_one": list(self.collision_one) if self.collision_one else None,
-            "collision_two": list(self.collision_two) if self.collision_two else None,
-            "gcd": self.gcd_value,
-            "divisor_bound": self.divisor_bound,
-            "stripped_divisors": self.stripped_divisors,
-            "failed_bounds": self.attempts,
-            "multiplications": self.multiplications,
-            "cycle_length": self.cycle_length,
-        }
 
 
 def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
@@ -457,18 +419,14 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
 
 
 @dataclass
-class BaninRound:
+class BaninRound(Trace):
     z: int
     pairs: list  # (k_i, k_i') tuples
     gcd_value: int
 
-    def to_json(self) -> dict:
-        return {"z": self.z, "pairs": [list(p) for p in self.pairs],
-                "gcd": self.gcd_value}
-
 
 @dataclass
-class BaninTrace:
+class BaninTrace(Trace):
     table_peak = None  # the oracle's tables are not tracked
 
     bound: int = 0
@@ -480,19 +438,6 @@ class BaninTrace:
     failed_bounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "rounds": [r.to_json() for r in self.rounds],
-            "lcm_candidate": self.lcm_candidate,
-            "anchor_exponent": self.anchor_exponent,
-            "verified": self.verified,
-            "corrected_from": self.corrected_from,
-            "failed_bounds": self.failed_bounds,
-            "multiplications": self.multiplications,
-            "cycle_length": self.cycle_length,
-        }
 
 
 def _default_outer_rounds(bound: int) -> int:

@@ -23,10 +23,11 @@ from .core import (
     NoSolutionError,
     SemigroupContext,
     SemigroupError,
+    Trace,
     power,
 )
 from .numtheory import crt_combine, factor_integer  # noqa: F401  (re-export)
-from .numtheory import ceil_sqrt
+from .numtheory import ceil_sqrt, first_true
 
 
 @dataclass(frozen=True)
@@ -163,38 +164,25 @@ def solution_set(raw_m: int, cycle: CycleStructure) -> DlogSolution:
 
 
 @dataclass
-class DlogTrace:
+class DlogTrace(Trace):
     b: int = 0
     m_prime: int = 0
     m_prime_effective: int = 0
     c: int = 0
     raw: int = 0
 
-    def to_json(self) -> dict:
-        return {"b": self.b, "m_prime": self.m_prime,
-                "m_prime_effective": self.m_prime_effective,
-                "c": self.c, "raw": self.raw}
-
 
 @dataclass
-class PrimePowerRecord:
+class PrimePowerRecord(Trace):
     prime: int
     exponent: int
     digits: list
     residue: int
 
-    def to_json(self) -> dict:
-        return {"prime": self.prime, "exponent": self.exponent,
-                "digits": self.digits, "residue": self.residue}
-
 
 @dataclass
 class PohligHellmanTrace(DlogTrace):
     prime_records: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {**super().to_json(),
-                "primes": [r.to_json() for r in self.prime_records]}
 
 
 def _shift_into_group(ctx, gv, y):
@@ -212,17 +200,14 @@ def _shift_into_group(ctx, gv, y):
     def shifted(b):
         return ctx.mul(y, power(ctx, x, b * length))
 
-    if t == 0 or not _in_group(ctx, gv, shifted(t)):
+    def enters(b):
+        return _in_group(ctx, gv, shifted(b))
+
+    if t == 0 or not enters(t):
         raise NoSolutionError("y*x^(tL) never enters the group; "
                               "y is not a power of the base")
-    lo, hi = 0, t
-    while hi - lo >= 2:
-        mid = (lo + hi) // 2
-        if _in_group(ctx, gv, shifted(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return hi, shifted(hi)
+    b = first_true(enters, 0, t)
+    return b, shifted(b)
 
 
 def _closing_shift(ctx, gv, m_prime_effective):
@@ -241,14 +226,8 @@ def _closing_shift(ctx, gv, m_prime_effective):
     hi = (a - 1) // length
     if hi == 0 or member(hi):
         return hi, a
-    lo = 0  # member(0) always holds: A >= tL+1 > cycle start
-    while hi - lo >= 2:
-        mid = (lo + hi) // 2
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, a
+    # member(0) always holds: A >= tL+1 > cycle start
+    return first_true(lambda c: not member(c), 0, hi) - 1, a
 
 
 def _solve(ctx, x, y, cycle, group_log, trace):
@@ -321,16 +300,15 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
         for p, e in factorization:
             pe = p ** e
             cof = length // pe
-            xi = power(ctx, gv.generator, cof) if cof > 1 else gv.generator
-            yi = power(ctx, y_prime, cof) if cof > 1 else y_prime
-            gamma = power(ctx, xi, p ** (e - 1)) if e > 1 else xi
+            xi = power(ctx, gv.generator, cof)
+            yi = power(ctx, y_prime, cof)
+            gamma = power(ctx, xi, p ** (e - 1))
             zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
             n_k = 0
             digits = []
             for k in range(e):
                 adjusted = ctx.mul(yi, power(ctx, zi, n_k)) if n_k else yi
-                lift = p ** (e - 1 - k)
-                y_k = power(ctx, adjusted, lift) if lift > 1 else adjusted
+                y_k = power(ctx, adjusted, p ** (e - 1 - k))
                 d_k = bsgs_group_dlog(ctx, gv, gamma, y_k, p)
                 digits.append(d_k)
                 n_k += p ** k * d_k

@@ -186,6 +186,19 @@ def prime_power_divisors_below(n: int, bound: int) -> list:
     return out
 
 
+def first_true(pred, lo: int, hi: int) -> int:
+    """Least c in (lo, hi] with pred(c), for a predicate monotone in c
+    that is false at lo and true at hi; bisects at (lo + hi) // 2.
+    """
+    while hi - lo >= 2:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def crt_combine(residues) -> int:
     """Unique solution mod prod(moduli) of x = r_i (mod m_i).
 

@@ -1,6 +1,7 @@
 """Built-in consistency suites for the CLI selftest command.
 
-Fast versions of the library's core guarantees: algorithm-vs-oracle
+Fast versions of the library's core guarantees: each family's product
+against a short reference that does not use it, algorithm-vs-oracle
 equivalence, the two textbook counterexample scenarios, the power-period
 equivalence, inverse correctness, and agreement of the two discrete-log
 solvers.  Each suite returns a named pass/fail result so a regression is
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import power
 from .cycle import brute_force_cycle, cycle_structure
@@ -40,7 +41,7 @@ class SuiteResult:
     detail: str
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def _sample_instances(seed: int):
@@ -64,6 +65,90 @@ def _sample_instances(seed: int):
         elem = random_element("boolmat", {"dim": dim}, rng.randrange(2 ** 30))
         pairs.append((BoolMatContext(dim), elem))
     return pairs
+
+
+def ref_boolmat_product(a, b):
+    """Boolean product of nested 0/1 rows, entry by entry."""
+    n = len(a)
+    rng = range(n)
+    return tuple(
+        tuple(1 if any(a[i][k] and b[k][j] for k in rng) else 0
+              for j in rng)
+        for i in rng
+    )
+
+
+def ref_matmod_product(a, b, modulus: int):
+    """Product of nested integer rows modulo `modulus`, entry by entry."""
+    rng = range(len(a))
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in rng) % modulus for j in rng)
+        for i in rng
+    )
+
+
+def ref_transformation_product(a, b):
+    """Composition of 0-indexed image tuples, b applied first."""
+    return tuple(a[v] for v in b)
+
+
+def _canon(n: int, s: int, length: int) -> int:
+    """Canonical exponent of x^n in the monogenic semigroup (s, L)."""
+    return n if n < s + length else s + (n - s) % length
+
+
+def _reference_product(ctx, a, b) -> dict:
+    """Spec document of a*b, computed without the context's product."""
+    da, db = ctx.element_json(a), ctx.element_json(b)
+    if ctx.family == "zmod":
+        return {**da, "value": da["value"] * db["value"] % da["modulus"]}
+    if ctx.family == "monogenic":
+        return {**da, "e": _canon(da["e"] + db["e"], da["s"], da["L"])}
+    if ctx.family == "transformation":
+        return ctx.element_json(ref_transformation_product(a, b))
+    rows = (ref_matmod_product(da["entries"], db["entries"], da["modulus"])
+            if ctx.family == "matmod"
+            else ref_boolmat_product(da["entries"], db["entries"]))
+    return {**da, "entries": [list(row) for row in rows]}
+
+
+# a^e in closed form, for the families that have one
+_CLOSED_POWERS = {
+    "zmod": lambda ctx, a, e: pow(a, e, ctx.modulus),
+    "monogenic": lambda ctx, a, e: _canon(a * e, ctx.cycle_start,
+                                          ctx.cycle_length),
+}
+
+
+def suite_product_reference(seed: int) -> SuiteResult:
+    """Counted products on random triples of each sampled instance against
+    the references and for associativity; zmod and monogenic powers
+    against their closed forms."""
+    rng = random.Random(seed)
+    pools = {}
+    for ctx, x in _sample_instances(seed):
+        pools.setdefault(repr(ctx), (ctx, []))[1].append(x)
+    for ctx, elems in pools.values():
+        params = {k: v for k, v in ctx.describe().items() if k != "type"}
+        elems += [random_element(ctx.family, params, rng.randrange(2 ** 30))
+                  for _ in range(3)]
+        closed = _CLOSED_POWERS.get(ctx.family)
+        for _ in range(20):
+            a, b, c = (rng.choice(elems) for _ in range(3))
+            e = rng.randint(1, 1000)
+            ab = ctx.mul(a, b)
+            if ctx.element_json(ab) != _reference_product(ctx, a, b):
+                problem = f"{a!r} * {b!r} gave {ab!r}"
+            elif ctx.mul(ab, c) != ctx.mul(a, ctx.mul(b, c)):
+                problem = f"({a!r} * {b!r}) * {c!r} != {a!r} * ({b!r} * {c!r})"
+            elif closed and power(ctx, a, e) != closed(ctx, a, e):
+                problem = f"{a!r}^{e} differs from its closed form"
+            else:
+                continue
+            return SuiteResult("product-reference", False,
+                               f"{ctx!r}: {problem}")
+    return SuiteResult("product-reference", True,
+                       "products match the family references and associate")
 
 
 def suite_oracle_equivalence(seed: int) -> SuiteResult:
@@ -163,6 +248,7 @@ def suite_solver_agreement(seed: int) -> SuiteResult:
 
 
 SUITES = (
+    suite_product_reference,
     suite_oracle_equivalence,
     suite_remark_scenarios,
     suite_power_period,
@@ -172,4 +258,14 @@ SUITES = (
 
 
 def run_selftests(seed: int = 0) -> list:
-    return [suite(seed) for suite in SUITES]
+    """Every suite's result.  A suite that raises fails under its function
+    name, so a broken product that crashes one suite cannot hide the
+    others' results."""
+    results = []
+    for suite in SUITES:
+        try:
+            results.append(suite(seed))
+        except Exception as exc:
+            results.append(SuiteResult(suite.__name__, False,
+                                       f"raised {type(exc).__name__}: {exc}"))
+    return results

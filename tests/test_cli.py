@@ -195,6 +195,25 @@ def test_cycle_unfactorable_length_exits_3(capsys, monkeypatch):
     assert "cannot reduce" in err
 
 
+def test_cycle_brute_past_cap_exits_3():
+    # order cap + 1 needs more than cap powers; a subprocess, so the
+    # ~2^21-entry table is freed with it
+    from semidlog.cycle import BRUTE_FORCE_CAP
+
+    spec = json.dumps({"type": "monogenic", "s": BRUTE_FORCE_CAP,
+                       "L": 2, "e": 1})
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(semidlog.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "semidlog.cli", "cycle", "--alg", "brute",
+         spec], capture_output=True, text=True,
+        env={"PATH": "", "PYTHONPATH": package_root})
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == (f"error: no repeated power within "
+                          f"{BRUTE_FORCE_CAP} steps; element may not be "
+                          "torsion\n")
+
+
 def test_dlog_progression(capsys):
     code, out, _ = run_cli(["dlog", ZMOD2, ZMOD68], capsys)
     assert code == 0
@@ -279,7 +298,24 @@ def test_out_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
+    assert "[PASS] product-reference" in out
+
+
+def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
+    # a crash in one suite is that suite's failure (exit 1), not exit 4
+    import semidlog.selftest
+
+    def suite_raises(seed):
+        raise semidlog.NoSolutionError("injected")
+
+    monkeypatch.setattr(semidlog.selftest, "SUITES",
+                        semidlog.selftest.SUITES + (suite_raises,))
+    code, out, err = run_cli(["selftest"], capsys)
+    assert code == 1
+    assert out.count("[PASS]") == 6
+    assert "[FAIL] suite_raises: raised NoSolutionError: injected" in out
+    assert "suite_raises" in err
 
 
 def test_selftest_json(capsys):

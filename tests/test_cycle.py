@@ -531,3 +531,43 @@ def test_all_cycle_routes_agree(instance_pool):
                                            bound=max(4, truth.order),
                                            seed=rng.randrange(1 << 30))
         assert ban == truth.cycle_length
+
+
+# ------------------------------------------------------------- trace JSON
+
+ALG4_ROUND_KEYS = ["accepted", "baby_hit", "bound", "candidate", "giant_hit",
+                   "stride", "table_size"]
+
+
+def test_cycle_trace_json_keys():
+    # bound-free on zmod 1000 (s = 3, L = 100): failed rounds first
+    ctx = ZModContext(1000)
+    _, det = deterministic_cycle_length(ctx, 2)
+    doc = det.to_json()
+    assert sorted(doc) == ["cycle_length", "multiplications", "rounds",
+                           "table_peak"]
+    assert doc["table_peak"] == det.table_peak
+    assert len(doc["rounds"]) == len(det.rounds) > 1
+    for entry in doc["rounds"]:
+        assert sorted(entry) == ALG4_ROUND_KEYS
+
+    _, mon = monico_cycle_length(ZModContext(1000), 2)
+    doc = mon.to_json()
+    assert sorted(doc) == [
+        "bound", "collision_one", "collision_two", "cycle_length",
+        "divisor_bound", "duplicate_pair", "failed_bounds", "gcd", "m",
+        "multiplications", "prime", "stripped_divisors"]
+    assert mon.attempts and doc["failed_bounds"] == mon.attempts
+    assert doc["gcd"] == mon.gcd_value > 0
+
+    _, ban = banin_tsaban_cycle_length(ZModContext(1000), 2, bound=4,
+                                       seed=7)
+    doc = ban.to_json()
+    assert sorted(doc) == [
+        "anchor_exponent", "bound", "corrected_from", "cycle_length",
+        "failed_bounds", "lcm_candidate", "multiplications", "rounds",
+        "verified"]
+    assert doc["rounds"]
+    for entry, rec in zip(doc["rounds"], ban.rounds):
+        assert sorted(entry) == ["gcd", "pairs", "z"]
+        assert entry["gcd"] == rec.gcd_value

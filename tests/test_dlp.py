@@ -307,6 +307,11 @@ def test_trace_json_keys():
                                           "raw"]
     assert {k: v for k, v in ph_trace.to_json().items() if k != "primes"} \
         == trace.to_json()
+    primes = ph_trace.to_json()["primes"]
+    assert [r["prime"] for r in primes] == [2, 5]
+    for entry, rec in zip(primes, ph_trace.prime_records):
+        assert sorted(entry) == ["digits", "exponent", "prime", "residue"]
+        assert entry["residue"] == rec.residue
 
 
 def test_dlog_boundary_between_unique_and_progression():

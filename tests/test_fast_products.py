@@ -1,10 +1,11 @@
 """The packed boolmat and itemgetter transformation products against the
 plain nested-tuple and generator-expression products they replaced.
 
-The references below work on the old in-memory forms (nested 0/1 row
-tuples, 0-indexed image tuples) and are kept here as test-only oracles:
-products and keys of the fast forms must agree with them, products
-through `element_json` and keys byte for byte with version 1.
+The product references work on the old in-memory forms (nested 0/1 row
+tuples, 0-indexed image tuples); they live in `semidlog.selftest`, whose
+product-reference suite uses them too.  Products and keys of the fast
+forms must agree with them, products through `element_json` and keys
+byte for byte with version 1.
 """
 
 import random
@@ -17,16 +18,7 @@ from semidlog import (
     TransformationContext,
     parse_element_spec,
 )
-
-
-def ref_boolmat_product(a, b):
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(1 if any(a[i][k] and b[k][j] for k in rng) else 0
-              for j in rng)
-        for i in rng
-    )
+from semidlog.selftest import ref_boolmat_product, ref_transformation_product
 
 
 def ref_boolmat_key(a):
@@ -35,10 +27,6 @@ def ref_boolmat_key(a):
         for bit in row:
             val = (val << 1) | bit
     return val.to_bytes((len(a) ** 2 + 7) // 8, "big")
-
-
-def ref_transformation_product(a, b):
-    return tuple(a[v] for v in b)
 
 
 def ref_transformation_key(a):
