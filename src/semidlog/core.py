@@ -47,6 +47,15 @@ class SemigroupContext(ABC):
     mutable state; it counts semigroup multiplications only, never integer
     arithmetic.  Single-writer: do not
     share one context across threads that multiply concurrently.
+
+    `mult_count` is exact whenever a public function returns or raises.
+    The walks (the baby-step/giant-step loops, brute force and `power`)
+    call `_product` directly and add their multiplications to the counter
+    in one step per exit of the walk, so inside a walk it is updated only
+    at that exit.  Only a family whose `_product` raises can leave it
+    wrong: short by the walk's products so far, or, in `power`, which
+    counts before it multiplies, ahead.  `mul` stays the one counted
+    single product, for code outside the walks.
     """
 
     family: str = "abstract"
@@ -108,22 +117,24 @@ def power(ctx: SemigroupContext, x, e: int):
     """x^e by square and multiply, for e >= 1.
 
     Uses exactly (bit_length(e) - 1) + (popcount(e) - 1) multiplications,
-    which is at most 2*floor(log2 e) + 1.  e = 0 is rejected: a semigroup
-    has no identity to return.
+    which is at most 2*floor(log2 e) + 1, added to the counter up front.
+    e = 0 is rejected: a semigroup has no identity to return.
     """
     if not isinstance(e, int) or e < 1:
         raise SemigroupError(f"exponent must be a positive integer, got {e!r} "
                              "(no identity element exists for x^0)")
+    ctx.mult_count += e.bit_length() + e.bit_count() - 2
+    prod = ctx._product
     result = None
     base = x
     k = e
     while True:
         if k & 1:
-            result = base if result is None else ctx.mul(result, base)
+            result = base if result is None else prod(result, base)
         k >>= 1
         if not k:
             return result
-        base = ctx.mul(base, base)
+        base = prod(base, base)
 
 
 def canonical_key(ctx: SemigroupContext, a) -> bytes:

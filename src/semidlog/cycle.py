@@ -55,16 +55,17 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     cap).
     """
     ctx.validate(x)
+    prod = ctx._product
     seen = {}
     cur = x
-    exp = 1
-    while exp <= cap:
+    for exp in range(1, cap + 1):
         prior = seen.get(cur)
         if prior is not None:
+            ctx.mult_count += exp - 1
             return CycleStructure(prior, exp - prior)
         seen[cur] = exp
-        cur = ctx.mul(cur, x)
-        exp += 1
+        cur = prod(cur, x)
+    ctx.mult_count += max(cap, 0)
     raise SemigroupError(f"no repeated power within {cap} steps; "
                          "element may not be torsion")
 
@@ -115,30 +116,36 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     """
     q = ceil_sqrt(bound)
     base = power(ctx, x, bound)
+    prod = ctx._product
     table = {base: 0}
     cur = base
     for j in range(1, q + 1):
-        cur = ctx.mul(cur, x)
+        cur = prod(cur, x)
         if cur == base:
+            ctx.mult_count += j
             # x^N .. x^(N+j-1) were tabulated
             rec = Alg4Round(bound, q, j, None, j, True, j)
             return j, rec
         if j < q:
             table[cur] = j
+    ctx.mult_count += q
 
     step = power(ctx, x, q)
     probe = cur  # x^(N+q), the i = 1 giant value
     for i in range(1, q + 1):
         if i > 1:
-            probe = ctx.mul(probe, step)
+            probe = prod(probe, step)
         j = table.get(probe)
         if j is not None:
-            candidate = i * q - j
-            accepted = ctx.mul(power(ctx, x, candidate), base) == base
-            rec = Alg4Round(bound, q, None, (i, j), candidate, accepted, q)
-            return (candidate if accepted else None), rec
-    rec = Alg4Round(bound, q, None, None, None, False, q)
-    return None, rec
+            break
+    else:
+        ctx.mult_count += q - 1
+        return None, Alg4Round(bound, q, None, None, None, False, q)
+    ctx.mult_count += i - 1
+    candidate = i * q - j
+    accepted = ctx.mul(power(ctx, x, candidate), base) == base
+    rec = Alg4Round(bound, q, None, (i, j), candidate, accepted, q)
+    return (candidate if accepted else None), rec
 
 
 def deterministic_cycle_length(ctx: SemigroupContext, x,
@@ -286,13 +293,15 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
     # in-cycle entries repeat exactly every P steps and earlier ones never
     cur = power(ctx, x, q)
     step = power(ctx, x, m)
+    prod = ctx._product
     table = {cur: 0}
     duplicate = None
     for i in range(1, m + 1):
-        cur = ctx.mul(cur, step)
+        cur = prod(cur, step)
         first = table.setdefault(cur, i)
         if first != i and duplicate is None:
             duplicate = (first, i)
+    ctx.mult_count += m
 
     # strip at an exponent the collision certifies to lie in the cycle
     # (the smaller of two with equal powers): at a pre-cycle exponent no
@@ -309,10 +318,12 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
             # m apart, so the open window [1, m) is not always enough
             cur = power(ctx, x, offset_exp)
             for b in range(1, m + 1):
-                cur = ctx.mul(cur, x)
+                cur = prod(cur, x)
                 i = table.get(cur)
                 if i is not None:
+                    ctx.mult_count += b
                     return b, i
+            ctx.mult_count += m
             return None, None
 
         b1, a1 = least_shift(q)
@@ -390,30 +401,35 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     lies inside its cycle, so candidates are never trusted blindly).
     Candidates are scanned in increasing order, making the returned
     exponent the smallest one the table can express; it is at most
-    q(q+1) <= 2*bound.
+    q(q+1).  That is at most 2*bound for every bound except 1, 2 and 5,
+    where q(q+1) is 6, 6 and 12.
     """
     ctx.validate(h)
     ctx.validate(target)
     if bound < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
+    prod = ctx._product
     table = {target: [0]}  # element -> every j with target*h^j equal to it
     cur = target
     for j in range(1, q + 1):
-        cur = ctx.mul(cur, h)
+        cur = prod(cur, h)
         table.setdefault(cur, []).append(j)
+    ctx.mult_count += q
 
     step = power(ctx, h, q)
     probe = step
     for i in range(1, q + 2):
         if i > 1:
-            probe = ctx.mul(probe, step)
+            probe = prod(probe, step)
         for j in reversed(table.get(probe, ())):
             cand = i * q - j
             if cand < 1:
                 continue
             if power(ctx, h, cand) == target:
+                ctx.mult_count += i - 1
                 return cand
+    ctx.mult_count += q
     raise OracleFailureError(
         f"no exponent k' <= {q * (q + 1)} maps h to the target")
 

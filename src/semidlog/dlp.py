@@ -107,21 +107,25 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     if target == gv.identity:
         return 0
     q = ceil_sqrt(order)
+    prod = ctx._product
     baby = {target: 0}
     cur = target
     for j in range(1, q + 1):
-        cur = ctx.mul(cur, generator)
+        cur = prod(cur, generator)
         baby[cur] = j  # a repeated value keeps its largest j
+    ctx.mult_count += q
     step = power(ctx, generator, q)
     probe = step
     for i in range(1, q + 2):
         if i > 1:
-            probe = ctx.mul(probe, step)
+            probe = prod(probe, step)
         j = baby.get(probe)
         if j is not None:
             m = (i * q - j) % order
             if m:
+                ctx.mult_count += i - 1
                 return m
+    ctx.mult_count += q
     raise NoSolutionError("target is not in the subgroup generated by the base")
 
 

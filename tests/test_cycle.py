@@ -423,6 +423,21 @@ def test_oracle_smallest_matching_exponent_via_scan():
     assert group_dlog_oracle(ctx, 1, target, 32) == 5
 
 
+def test_oracle_exponent_ceiling():
+    # the returned exponent can reach q(q+1), q = ceil(sqrt(max(bound, 2))),
+    # and no further; that ceiling exceeds 2*bound for bounds 1, 2, 5 only
+    ctx = MonogenicContext(100, 7)
+    for bound in range(1, 40):
+        q = ceil_sqrt(max(bound, 2))
+        top = q * (q + 1)
+        assert group_dlog_oracle(ctx, 1, power(ctx, 1, top), bound) == top
+        with pytest.raises(OracleFailureError):
+            group_dlog_oracle(ctx, 1, power(ctx, 1, top + 1), bound)
+    over = [b for b in range(1, 10 ** 5)
+            if ceil_sqrt(max(b, 2)) * (ceil_sqrt(max(b, 2)) + 1) > 2 * b]
+    assert over == [1, 2, 5]
+
+
 def test_oracle_matches_brute_scan_randomly():
     rng = random.Random(17)
     for _ in range(40):
