@@ -56,8 +56,8 @@ def _sample_instances(seed: int):
     for deg in (3, 4):
         for images in itertools.product(range(deg), repeat=deg):
             pairs.append((TransformationContext(deg), images))
-    for _ in range(25):
-        params = {"dim": 2, "modulus": rng.choice([2, 3, 5])}
+    for i in range(25):
+        params = {"dim": i % 4 + 1, "modulus": rng.choice([2, 3, 5])}
         elem = random_element("matmod", params, rng.randrange(2 ** 30))
         pairs.append((MatModContext(**params), elem))
     for _ in range(25):

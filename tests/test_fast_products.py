@@ -1,11 +1,13 @@
-"""The packed boolmat and itemgetter transformation products against the
-plain nested-tuple and generator-expression products they replaced.
+"""The fast products against the plain generator-expression products they
+replaced: the packed boolmat product, the itemgetter transformation
+product and the generated per-dimension matmod kernel.
 
-The product references work on the old in-memory forms (nested 0/1 row
-tuples, 0-indexed image tuples); they live in `semidlog.selftest`, whose
-product-reference suite uses them too.  Products and keys of the fast
-forms must agree with them, products through `element_json` and keys
-byte for byte with version 1.
+The product references work on nested row tuples and 0-indexed image
+tuples; they live in `semidlog.selftest`, whose product-reference suite
+uses them too.  Products and keys of the fast forms must agree with them,
+products through `element_json` and keys byte for byte with version 1.
+The matmod kernel is shared by every modulus of one dimension, so it must
+reduce by the modulus it is given, never by one fixed when it was built.
 """
 
 import random
@@ -15,10 +17,15 @@ import pytest
 from semidlog import (
     BoolMatContext,
     IncompatibleElementError,
+    MatModContext,
     TransformationContext,
     parse_element_spec,
 )
-from semidlog.selftest import ref_boolmat_product, ref_transformation_product
+from semidlog.selftest import (
+    ref_boolmat_product,
+    ref_matmod_product,
+    ref_transformation_product,
+)
 
 
 def ref_boolmat_key(a):
@@ -75,6 +82,43 @@ def test_boolmat_element_is_its_key_integer():
 def test_boolmat_validate_rejects(bad):
     with pytest.raises(IncompatibleElementError):
         BoolMatContext(2).validate(bad)
+
+
+@pytest.mark.parametrize("modulus", [2, 19, 27, 2 ** 61 - 1])
+@pytest.mark.parametrize("dim", [*range(1, 9), 16, 64])
+def test_matmod_kernel_matches_reference(dim, modulus):
+    rng = random.Random(f"matmod-ref/{dim}/{modulus}")
+    ctx = MatModContext(dim, modulus)
+    rng_dim = range(dim)
+    zero = tuple(tuple(0 for _ in rng_dim) for _ in rng_dim)
+    ident = tuple(tuple(int(i == j) for j in rng_dim) for i in rng_dim)
+    # random entries, and the largest residue everywhere, whose sums of
+    # products run past 2^64 at modulus 2^61 - 1
+    top = tuple(tuple(modulus - 1 for _ in rng_dim) for _ in rng_dim)
+    elems = [top] + [
+        tuple(tuple(rng.randrange(modulus) for _ in rng_dim)
+              for _ in rng_dim)
+        for _ in range(3 if dim < 16 else 1)]
+    for a in elems:
+        for x, y in ((a, a), (a, elems[-1]), (elems[-1], a), (a, zero),
+                     (zero, a), (a, ident), (ident, a)):
+            got = ctx._product(x, y)
+            assert got == ref_matmod_product(x, y, modulus)
+            assert ctx.validate(got) == got
+        assert ctx._product(a, zero) == ctx._product(zero, a) == zero
+        assert ctx._product(a, ident) == ctx._product(ident, a) == a
+
+
+def test_matmod_kernel_is_shared_per_dimension_and_takes_the_modulus():
+    small, large = MatModContext(3, 19), MatModContext(3, 27)
+    assert small._kernel is large._kernel
+    assert MatModContext(2, 19)._kernel is not small._kernel
+    a = ((18, 18, 18), (1, 2, 3), (0, 17, 5))  # an element of both
+    # both contexts exist before any product, and they alternate, so a
+    # modulus fixed when the kernel was built fails one of them
+    for ctx in (small, large, small):
+        assert ctx._product(a, a) == ref_matmod_product(a, a, ctx.modulus)
+    assert small._product(a, a) != large._product(a, a)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 64, 255])
