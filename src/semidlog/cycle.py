@@ -70,6 +70,32 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
                          "element may not be torsion")
 
 
+def _doubling_search(ctx, trace, attempt, n, doubling, miss, failed=None):
+    """Run attempt(n), attempt(2n), ... until one returns a cycle length;
+    returns (length, trace) with trace.multiplications and
+    trace.cycle_length filled in.
+
+    Without `doubling`, a single attempt whose miss raises SemigroupError
+    with the message `miss`.  Bounds that missed are appended to `failed`
+    when it is given; no attempt runs past _DOUBLING_CAP.
+    """
+    start_count = ctx.mult_count
+    while True:
+        length = attempt(n)
+        if length is not None:
+            trace.multiplications = ctx.mult_count - start_count
+            trace.cycle_length = length
+            return length, trace
+        if not doubling:
+            raise SemigroupError(miss)
+        if failed is not None:
+            failed.append(n)
+        n *= 2
+        if n > _DOUBLING_CAP:
+            raise SemigroupError(
+                "doubling cap exceeded; element may not be torsion")
+
+
 @dataclass(frozen=True)
 class Alg4Round(Trace):
     """One doubling round of the deterministic algorithm."""
@@ -159,31 +185,19 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     find a collision raises instead of doubling.
     """
     ctx.validate(x)
+    if known_bound is not None and known_bound < 1:
+        raise SemigroupError("known_bound must be >= 1")
     trace = Alg4Trace()
-    start_count = ctx.mult_count
-    if known_bound is not None:
-        if known_bound < 1:
-            raise SemigroupError("known_bound must be >= 1")
-        result, rec = _alg4_round(ctx, x, known_bound)
-        trace.rounds.append(rec)
-        trace.multiplications = ctx.mult_count - start_count
-        if result is None:
-            raise SemigroupError(
-                f"no validated collision at bound {known_bound}; the bound "
-                "must be at least max(cycle start, cycle length)")
-        trace.cycle_length = result
-        return result, trace
 
-    bound = 1
-    while bound <= _DOUBLING_CAP:
+    def attempt(bound):
         result, rec = _alg4_round(ctx, x, bound)
         trace.rounds.append(rec)
-        if result is not None:
-            trace.multiplications = ctx.mult_count - start_count
-            trace.cycle_length = result
-            return result, trace
-        bound *= 2
-    raise SemigroupError("doubling cap exceeded; element may not be torsion")
+        return result
+
+    return _doubling_search(
+        ctx, trace, attempt, known_bound or 1, known_bound is None,
+        f"no validated collision at bound {known_bound}; the bound must be "
+        "at least max(cycle start, cycle length)")
 
 
 def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
@@ -226,6 +240,8 @@ def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
     is the least one.  Costs at most one check per prime factor of g,
     counted with multiplicity, plus one per distinct prime.
     """
+    ctx.validate(x)
+    ctx.validate(base)
     try:
         primes = factor_integer(g)
     except ValueError as exc:
@@ -368,26 +384,15 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     ctx.validate(x)
     if divisor_bound < 2:
         raise SemigroupError("divisor_bound must be >= 2")
-    trace = MonicoTrace(divisor_bound=divisor_bound)
-    start_count = ctx.mult_count
-    doubling = bound is None
-    n = 1 if doubling else bound
-    if n < 1:
+    if bound is not None and bound < 1:
         raise SemigroupError("bound must be >= 1")
-    while True:
-        result = _monico_round(ctx, x, n, divisor_bound, trace)
-        if result is not None:
-            trace.multiplications = ctx.mult_count - start_count
-            trace.cycle_length = result
-            return result, trace
-        if not doubling:
-            raise SemigroupError(
-                f"no collision within bound {bound}; the bound must be at "
-                "least the order of the element")
-        trace.attempts.append(n)
-        n *= 2
-        if n > _DOUBLING_CAP:
-            raise SemigroupError("doubling cap exceeded; element may not be torsion")
+    trace = MonicoTrace(divisor_bound=divisor_bound)
+    return _doubling_search(
+        ctx, trace,
+        lambda n: _monico_round(ctx, x, n, divisor_bound, trace),
+        bound or 1, bound is None,
+        f"no collision within bound {bound}; the bound must be at least the "
+        "order of the element", trace.attempts)
 
 
 def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
@@ -508,7 +513,7 @@ def _banin_attempt(ctx, x, bound, inner, outer, rng, trace):
 def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
                               inner_rounds: int = 4,
                               outer_rounds: int | None = None,
-                              seed: int = 0, max_doublings: int = 48):
+                              seed: int = 0):
     """Banin-Tsaban cycle length; returns (L, BaninTrace).
 
     Each outer round draws z in [bound/2, bound], sets h = x^z and gcds
@@ -529,20 +534,15 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
         raise SemigroupError("outer_rounds must be >= 1")
     rng = random.Random(seed)
     trace = BaninTrace()
-    start_count = ctx.mult_count
-    m = bound
-    for _ in range(max_doublings):
-        outer = outer_rounds if outer_rounds is not None else _default_outer_rounds(m)
+
+    def attempt(m):
+        outer = (outer_rounds if outer_rounds is not None
+                 else _default_outer_rounds(m))
         trace.bound = m
-        result = _banin_attempt(ctx, x, m, inner_rounds, outer, rng, trace)
-        if result is not None:
-            trace.multiplications = ctx.mult_count - start_count
-            trace.cycle_length = result
-            return result, trace
-        trace.failed_bounds.append(m)
-        m *= 2
-    raise SemigroupError(
-        f"no verified cycle length within {max_doublings} doublings")
+        return _banin_attempt(ctx, x, m, inner_rounds, outer, rng, trace)
+
+    return _doubling_search(ctx, trace, attempt, bound, True, None,
+                            trace.failed_bounds)
 
 
 CYCLE_ALGORITHMS = ("deterministic", "monico", "banin-tsaban", "brute")

@@ -4,7 +4,7 @@ Once the cycle structure (s, L) of the base x is known, the powers
 {x^s, ..., x^(s+L-1)} form a cyclic group whose identity is x^(tL) with
 t = ceil(s/L) and whose generator is x' = x^(tL+1).  GroupView packages
 that data; semigroup_dlog reduces the semigroup problem to one BSGS run
-inside the group plus two binary searches, and pohlig_hellman_dlog swaps
+inside the group plus one binary search, and pohlig_hellman_dlog swaps
 the single BSGS for per-prime digit extraction when the factorization of
 L is available.  Both return the complete solution set: a unique exponent
 below the cycle start, or an arithmetic progression with period L.
@@ -194,7 +194,8 @@ def _shift_into_group(ctx, gv, y):
 
     The predicate is monotone in b (the shift pushes the implicit exponent
     of y past the cycle start); its failure at b = t means y is not a
-    power of the base at all.
+    power of the base at all.  A group element g has g*x^L = g, so every
+    shift that enters the group yields the same product y*x^(tL).
     """
     if _in_group(ctx, gv, y):
         return 0, y
@@ -204,44 +205,22 @@ def _shift_into_group(ctx, gv, y):
     def shifted(b):
         return ctx.mul(y, power(ctx, x, b * length))
 
-    def enters(b):
-        return _in_group(ctx, gv, shifted(b))
-
-    if t == 0 or not enters(t):
+    y_prime = shifted(t)
+    if not _in_group(ctx, gv, y_prime):
         raise NoSolutionError("y*x^(tL) never enters the group; "
                               "y is not a power of the base")
-    b = first_true(enters, 0, t)
-    return b, shifted(b)
-
-
-def _closing_shift(ctx, gv, m_prime_effective):
-    """Maximal c >= 0 with x^((tL+1)*m' - cL) still in the group.
-
-    Membership fails monotonically as c grows; exponents stay positive by
-    bounding c at (A-1)/L where A = (tL+1)*m'.
-    """
-    length = gv.cycle.cycle_length
-    a = (gv.t * length + 1) * m_prime_effective
-    x = gv.base
-
-    def member(c):
-        return _in_group(ctx, gv, power(ctx, x, a - c * length))
-
-    hi = (a - 1) // length
-    if hi == 0 or member(hi):
-        return hi, a
-    # member(0) always holds: A >= tL+1 > cycle start
-    return first_true(lambda c: not member(c), 0, hi) - 1, a
+    b = first_true(lambda b: _in_group(ctx, gv, shifted(b)), 0, t)
+    return b, y_prime
 
 
 def _solve(ctx, x, y, cycle, group_log, trace):
     """The reduction shared by both solvers.
 
-    Shift y into the group (binary search for b), take m' = log of the
-    shifted target to the base x' with `group_log(gv, y')`, then a second
-    binary search for the maximal c that keeps x^((tL+1)m' - cL) in the
-    group.  The exponent (tL+1)m' - (b+c)L is the discrete logarithm.
-    Fills in `trace` and returns (DlogSolution, trace).
+    Shift y into the group (binary search for b), then take m' = log of
+    the shifted target to the base x' with `group_log(gv, y')`.  With
+    A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
+    c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills in
+    `trace` and returns (DlogSolution, trace).
     """
     ctx.validate(y)
     gv = make_group_view(ctx, x, cycle)  # validates x
@@ -249,7 +228,8 @@ def _solve(ctx, x, y, cycle, group_log, trace):
     length = cycle.cycle_length
     m_prime = group_log(gv, y_prime)
     m_eff = m_prime if m_prime else length  # no x^0: identity is (x')^L
-    c, a = _closing_shift(ctx, gv, m_eff)
+    a = (gv.t * length + 1) * m_eff
+    c = (a - cycle.cycle_start) // length
     raw = a - (b + c) * length
     # a y outside <x> can still shift into the group; the power check
     # catches whatever the collision searches let through
@@ -263,8 +243,8 @@ def _solve(ctx, x, y, cycle, group_log, trace):
 def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     """All m with x^m = y, given the cycle structure of x.
 
-    One inverse-free BSGS for m' inside the group, between two binary
-    searches of O((log N)^2) multiplications each.  Returns (DlogSolution,
+    One inverse-free BSGS for m' inside the group, after one binary search
+    of O((log N)^2) multiplications.  Returns (DlogSolution,
     DlogTrace); raises NoSolutionError when y is not a power of x.
     """
     def group_log(gv, y_prime):
@@ -282,10 +262,12 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
     the shifted target into the order-p^e subgroup, extract the base-p
     digits of the residue with BSGS runs in the order-p subgroup (at most
     ceil(sqrt(p)) + 1 table entries each), and recombine the residues with
-    the CRT.  The closing b/c searches and the final exponent formula are
+    the CRT.  The search for b and the final exponent formula are
     shared with semigroup_dlog, so both solvers return identical solution
     sets.  Whenever a partial exponent n_k is zero the z^(n_k) factor is
-    simply omitted (no zeroth power exists in a semigroup).
+    simply omitted (no zeroth power exists in a semigroup).  A supplied
+    `factorization` must be pairs (p, e) of ints p >= 2, e >= 1 whose
+    p^e are pairwise coprime and multiply to L; else SemigroupError.
     """
     length = cycle.cycle_length
     if factorization is None:
@@ -294,9 +276,18 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
         except ValueError as exc:
             raise SemigroupError(
                 f"cannot factor the cycle length: {exc}") from None
-    if math.prod(p ** e for p, e in factorization) != length:
-        raise SemigroupError(
-            f"factorization {factorization} does not multiply to {length}")
+    else:
+        product = 1
+        for p, e in factorization:
+            if not (isinstance(p, int) and isinstance(e, int) and p >= 2
+                    and e >= 1 and math.gcd(product, p) == 1):
+                raise SemigroupError(
+                    f"factorization {factorization} is not pairs (p, e) "
+                    "with p >= 2, e >= 1 and pairwise coprime p^e")
+            product *= p ** e
+        if product != length:
+            raise SemigroupError(f"factorization {factorization} does not "
+                                 f"multiply to {length}")
     trace = PohligHellmanTrace()
 
     def group_log(gv, y_prime):

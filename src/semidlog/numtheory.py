@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate, chain, cycle
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers the documented n < 2^63 input range with room to spare).
@@ -16,6 +17,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 TRIAL_DIVISION_LIMIT = 10 ** 6
+# gaps between the integers coprime to 30, from 7 on
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -93,6 +96,27 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def _trial_division(n: int, limit: int):
+    """Trial division of n >= 1 by 2, 3, 5 and the 30-wheel, up to `limit`
+    and while the divisor's square does not exceed the unfactored part.
+
+    Returns ([(p, e), ...] with p ascending, unfactored part).  The
+    unfactored part has no prime factor up to the last divisor tried, so
+    it is 1 or a prime whenever the square test stopped the division.
+    """
+    found = []
+    for d in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
+        if d > limit or d * d > n:
+            break
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            found.append((d, e))
+    return found, n
+
+
 def factor_integer(n: int) -> list:
     """Complete prime factorization of n >= 1 as [(p, e), ...], p ascending.
 
@@ -104,24 +128,8 @@ def factor_integer(n: int) -> list:
         raise ValueError("factor_integer requires n >= 1")
     if n >= 1 << 63:
         raise ValueError("factor_integer supports n < 2^63")
-    if n == 1:
-        return []
-    factors: dict[int, int] = {}
-
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    # 30-wheel trial division
-    d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    idx = 0
-    while d <= TRIAL_DIVISION_LIMIT and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += increments[idx]
-        idx = (idx + 1) % 8
+    found, n = _trial_division(n, TRIAL_DIVISION_LIMIT)
+    factors = dict(found)
 
     rng = random.Random(0xB0B)
     stack = [n] if n > 1 else []
@@ -148,38 +156,9 @@ def prime_power_divisors_below(n: int, bound: int) -> list:
     Only primes up to `bound` are discovered (larger prime factors of n
     are irrelevant since their powers exceed the bound anyway).
     """
-    out = []
-    rem = n
-    for p in (2, 3, 5):
-        if p > bound:
-            break
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        pk = p
-        for _ in range(e):
-            if pk > bound:
-                break
-            out.append(pk)
-            pk *= p
-    d = 7
-    increments = (4, 2, 4, 2, 4, 6, 2, 6)
-    idx = 0
-    while d <= bound and d * d <= rem:
-        e = 0
-        while rem % d == 0:
-            rem //= d
-            e += 1
-        if e:
-            pk = d
-            for _ in range(e):
-                if pk > bound:
-                    break
-                out.append(pk)
-                pk *= d
-        d += increments[idx]
-        idx = (idx + 1) % 8
+    found, rem = _trial_division(n, bound)
+    out = [p ** k for p, e in found for k in range(1, e + 1)
+           if p ** k <= bound]
     if 1 < rem <= bound:
         out.append(rem)
     out.sort(reverse=True)

@@ -60,6 +60,9 @@ HELPER_CALLS = {
         ZModContext(100), 4, [3], 64),
     "oracle-target-exponent-zero": lambda: group_dlog_oracle(
         MonogenicContext(5, 12), 1, 0, 64),
+    "least-period-x": lambda: least_period(ZModContext(100), 250, 4, 20),
+    "least-period-x-unhashable": lambda: least_period(
+        ZModContext(100), [2], 4, 20),
 }
 
 

@@ -340,6 +340,7 @@ def test_dlog_trace_identity_and_bounds(instance_pool):
             assert tr.b <= gv_t
             assert tr.c <= cyc.order + 1
             a = tr.m_prime_effective * (gv_t * cyc.cycle_length + 1)
+            assert tr.c == (a - cyc.cycle_start) // cyc.cycle_length
             assert tr.raw == a - (tr.b + tr.c) * cyc.cycle_length
             assert sol.contains(m)
             assert ctx.equal(power(ctx, x, sol.smallest()), y)
@@ -431,9 +432,13 @@ def test_ph_accepts_explicit_factorization():
     sol, _ = pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20),
                                  factorization=[(2, 2), (5, 1)])
     assert sol.to_json() == {"kind": "progression", "m0": 15, "period": 20}
-    with pytest.raises(SemigroupError):
-        pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20),
-                            factorization=[(2, 2)])
+    # short product, repeated prime, non-int prime, p < 2, e < 1
+    for bad in ([(2, 2)], [(2, 1), (2, 1), (5, 1)], [("a", 1)],
+                [(1, 3), (20, 1)], [(2, 2), (5, 1), (3, 0)],
+                [(2.0, 2), (5, 1)]):
+        with pytest.raises(SemigroupError):
+            pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20),
+                                factorization=bad)
 
 
 def test_ph_prime_power_heavy_length():

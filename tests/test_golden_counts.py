@@ -82,27 +82,30 @@ CYCLE_CASES = {
 # (family, k, solver) -> (solution JSON or None for no solution, mults);
 # the target is x^k, or the non-power 3 when k is None, and mults covers
 # the solver alone
+# the solvers compute the closing shift c = ((tL+1)m' - s) // L directly
+# (no binary search) and reuse the shifted target y*x^(bL) found by the
+# search for b; both changed only these counts, not answers
 DLOG_CASES = {
     ("zmod", 57, "reduction"): ({"kind": "progression", "m0": 57,
-                                 "period": 100}, 54),
+                                 "period": 100}, 45),
     ("zmod", 57, "pohlig-hellman"): ({"kind": "progression", "m0": 57,
-                                      "period": 100}, 91),
-    ("zmod", None, "reduction"): (None, 56),
-    ("zmod", None, "pohlig-hellman"): (None, 101),
+                                      "period": 100}, 82),
+    ("zmod", None, "reduction"): (None, 42),
+    ("zmod", None, "pohlig-hellman"): (None, 87),
     ("matmod", 10, "reduction"): ({"kind": "progression", "m0": 10,
-                                   "period": 18}, 30),
+                                   "period": 18}, 25),
     ("matmod", 10, "pohlig-hellman"): ({"kind": "progression", "m0": 10,
-                                        "period": 18}, 47),
+                                        "period": 18}, 42),
     ("transformation", 9, "reduction"): ({"kind": "progression", "m0": 9,
-                                          "period": 7}, 26),
+                                          "period": 7}, 19),
     ("transformation", 9, "pohlig-hellman"): ({"kind": "progression",
-                                               "m0": 9, "period": 7}, 29),
+                                               "m0": 9, "period": 7}, 22),
     ("monogenic", 1000, "reduction"): ({"kind": "progression", "m0": 280,
-                                        "period": 360}, 84),
+                                        "period": 360}, 73),
     ("monogenic", 1000, "pohlig-hellman"): ({"kind": "progression",
-                                             "m0": 280, "period": 360}, 131),
-    ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 126),
-    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 199),
+                                             "m0": 280, "period": 360}, 120),
+    ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 65),
+    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 138),
 }
 
 SOLVERS = {"reduction": semigroup_dlog, "pohlig-hellman": pohlig_hellman_dlog}
