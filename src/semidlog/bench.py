@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .core import SemigroupError
 from .cycle import brute_force_cycle, find_cycle
-from .instances import make_context, random_element
+from .instances import FAMILIES, make_context, random_element
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class BenchRecord:
         return asdict(self)
 
     sort_key = property(lambda self: (self.instance, self.algorithm, self.trial))
-
-
-_FAMILY_IDS = {"zmod": 1, "matmod": 2, "boolmat": 3, "transformation": 4,
-               "monogenic": 5}
 
 
 def _instance_params(family: str, size: int, rng: random.Random, dim: int,
@@ -69,7 +65,7 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
     records = []
     for size in sizes:
         for trial in range(trials):
-            mix = (seed * 1_000_003 + _FAMILY_IDS[family] * 7919
+            mix = (seed * 1_000_003 + (FAMILIES.index(family) + 1) * 7919
                    + size * 104_729 + trial)
             trial_seed = random.Random(mix).randrange(1 << 62)
             rng = random.Random(trial_seed)

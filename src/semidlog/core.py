@@ -92,9 +92,6 @@ class SemigroupContext(ABC):
         self.mult_count += 1
         return self._product(a, b)
 
-    def equal(self, a, b) -> bool:
-        return a == b
-
     def __repr__(self) -> str:
         params = ", ".join(
             f"{k}={v}" for k, v in self.describe().items() if k != "type"

@@ -557,7 +557,7 @@ def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
     "brute" enumerates powers and has no trace.  Every other algorithm
     computes the cycle length (bound-free when `bound` is None) and then
     runs cycle_start_search.  `divisor_bound` and `seed` go to Monico;
-    Banin-Tsaban takes `bound` or 16 as its starting bound, `rounds` =
+    Banin-Tsaban starts at `bound` (16 when None), `rounds` =
     (inner, outer) or (4, None), and `seed`.
     """
     if alg == "brute":
@@ -570,8 +570,8 @@ def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
     elif alg == "banin-tsaban":
         inner, outer = rounds or (4, None)
         length, trace = banin_tsaban_cycle_length(
-            ctx, x, bound or 16, inner_rounds=inner, outer_rounds=outer,
-            seed=seed)
+            ctx, x, 16 if bound is None else bound, inner_rounds=inner,
+            outer_rounds=outer, seed=seed)
     else:
         raise SemigroupError(f"unknown cycle algorithm {alg!r}; expected "
                              f"one of {', '.join(CYCLE_ALGORITHMS)}")

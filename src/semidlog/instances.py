@@ -17,6 +17,10 @@ Element spec documents are UTF-8 JSON with a "type" tag, e.g.
 arrays of arrays; transformation maps are 1-indexed externally (and
 0-indexed internally).  A boolmat element is held as one packed int, the
 integer of its key (see BoolMatContext).
+
+Each family is one class: `from_spec` reads its spec documents,
+`describe`/`element_json` write them and `draw` samples an element.  Its
+constructor is the one place that checks the instance parameters.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from operator import itemgetter
 from .core import IncompatibleElementError, SemigroupContext, SemigroupError
 
 KEY_ENCODING_VERSION = 1
-
-FAMILIES = ("zmod", "matmod", "boolmat", "transformation", "monogenic")
 
 # bytes.translate table taking v to v + 1: 0-indexed images to key bytes
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
@@ -49,14 +51,53 @@ def _byte_width(max_value: int) -> int:
     return max(1, (max(max_value, 1).bit_length() + 7) // 8)
 
 
-def _pack_bits(rows) -> int:
-    """A boolmat element from nested 0/1 rows: the entries row-major as
-    bits, first entry most significant."""
+def _pack_bits(bits) -> int:
+    """A boolmat element from its 0/1 entries in row-major order, first
+    entry most significant."""
     val = 0
-    for row in rows:
-        for bit in row:
-            val = (val << 1) | bit
+    for bit in bits:
+        val = (val << 1) | bit
     return val
+
+
+def _is_int(val) -> bool:
+    """A JSON integer: bool is an int subclass, but true is not 1 here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _require(doc: dict, name: str, kind):
+    if name not in doc:
+        raise ElementSpecError(f"missing field {name!r}")
+    val = doc[name]
+    if kind is int and not _is_int(val):
+        raise ElementSpecError(f"field {name!r} must be an integer",
+                               f"$.{name}")
+    if kind is list and not isinstance(val, list):
+        raise ElementSpecError(f"field {name!r} must be an array",
+                               f"$.{name}")
+    return val
+
+
+def _parse_matrix(doc: dict, limit: int, message: str):
+    """The "entries" of a matrix spec, a square array of integer arrays
+    with entries in [0, limit), as a tuple of row tuples; `message` names
+    an entry out of range.  The dimension is the caller's to check."""
+    rows = _require(doc, "entries", list)
+    dim = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ElementSpecError(
+                f"row {i} must be an array of length {dim}",
+                f"$.entries[{i}]")
+        for j, v in enumerate(row):
+            if not _is_int(v):
+                raise ElementSpecError("matrix entries must be integers",
+                                       f"$.entries[{i}][{j}]")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not 0 <= v < limit:
+                raise ElementSpecError(message, f"$.entries[{i}][{j}]")
+    return tuple(map(tuple, rows))
 
 
 class ZModContext(SemigroupContext):
@@ -66,10 +107,23 @@ class ZModContext(SemigroupContext):
 
     def __init__(self, modulus: int):
         if modulus < 2:
-            raise SemigroupError("zmod modulus must be >= 2")
+            raise ElementSpecError("modulus must be >= 2", "$.modulus")
         super().__init__()
         self.modulus = modulus
         self._width = _byte_width(modulus - 1)
+
+    @classmethod
+    def from_spec(cls, doc: dict):
+        modulus = _require(doc, "modulus", int)
+        value = _require(doc, "value", int)
+        ctx = cls(modulus)
+        if not 0 <= value < modulus:
+            raise ElementSpecError(
+                f"value must be in [0, {modulus})", "$.value")
+        return ctx, value
+
+    def draw(self, rng):
+        return rng.randrange(self.modulus)
 
     def _product(self, a, b):
         return a * b % self.modulus
@@ -131,15 +185,32 @@ class MatModContext(SemigroupContext):
     family = "matmod"
 
     def __init__(self, dim: int, modulus: int):
-        if dim < 1:
-            raise SemigroupError("matmod dimension must be >= 1")
         if modulus < 2:
-            raise SemigroupError("matmod modulus must be >= 2")
+            raise ElementSpecError("modulus must be >= 2", "$.modulus")
+        if dim < 1:
+            raise ElementSpecError("matrix must have at least one row",
+                                   "$.entries")
         super().__init__()
         self.dim = dim
         self.modulus = modulus
         self._width = _byte_width(modulus - 1)
         self._kernel = _matmod_kernel(dim)
+
+    @classmethod
+    def from_spec(cls, doc: dict):
+        modulus = _require(doc, "modulus", int)
+        message = f"entry must be in [0, {modulus})"
+        try:
+            mat = _parse_matrix(doc, modulus, message)
+        except ElementSpecError:
+            cls(1, modulus)  # a bad modulus is reported before bad entries
+            raise
+        return cls(len(mat), modulus), mat
+
+    def draw(self, rng):
+        d, m = self.dim, self.modulus
+        return tuple(tuple(rng.randrange(m) for _ in range(d))
+                     for _ in range(d))
 
     def _product(self, a, b):
         return self._kernel(a, b, self.modulus)
@@ -176,14 +247,15 @@ class BoolMatContext(SemigroupContext):
     significant, which is the integer its version-1 key encodes.  Row i
     fills bits [(d-1-i)*d, (d-i)*d) and entry (i, j) is bit
     (d-1-i)*d + d-1-j.  Nested 0/1 rows become an element through
-    `parse_element_spec`, and `element_json` turns it back.
+    `from_spec`, and `element_json` turns it back.
     """
 
     family = "boolmat"
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise SemigroupError("boolmat dimension must be >= 1")
+            raise ElementSpecError("matrix must have at least one row",
+                                   "$.entries")
         super().__init__()
         self.dim = dim
         self._width = (dim * dim + 7) // 8
@@ -195,6 +267,14 @@ class BoolMatContext(SemigroupContext):
         self._steps = tuple(
             (self._rowrep << (dim - 1 - k), dim - 1 - k, (dim - 1 - k) * dim)
             for k in range(dim))
+
+    @classmethod
+    def from_spec(cls, doc: dict):
+        mat = _parse_matrix(doc, 2, "boolean matrix entries must be 0 or 1")
+        return cls(len(mat)), _pack_bits(v for row in mat for v in row)
+
+    def draw(self, rng):
+        return _pack_bits(rng.randrange(2) for _ in range(self.dim ** 2))
 
     def _product(self, a, b):
         # word-parallel: term k spreads a's column k over whole rows and
@@ -238,9 +318,22 @@ class TransformationContext(SemigroupContext):
 
     def __init__(self, degree: int):
         if not 1 <= degree <= 255:
-            raise SemigroupError("transformation degree must be in [1, 255]")
+            raise ElementSpecError("degree must be in [1, 255]", "$.map")
         super().__init__()
         self.degree = degree
+
+    @classmethod
+    def from_spec(cls, doc: dict):
+        images = _require(doc, "map", list)
+        ctx = cls(len(images))
+        for i, v in enumerate(images):
+            if not _is_int(v) or not 1 <= v <= ctx.degree:
+                raise ElementSpecError(
+                    f"image must be in [1, {ctx.degree}]", f"$.map[{i}]")
+        return ctx, tuple(v - 1 for v in images)
+
+    def draw(self, rng):
+        return tuple(rng.randrange(self.degree) for _ in range(self.degree))
 
     def _product(self, a, b):
         # itemgetter with a single index returns the bare item
@@ -280,14 +373,27 @@ class MonogenicContext(SemigroupContext):
 
     family = "monogenic"
 
-    def __init__(self, cycle_start: int, cycle_length: int):
-        if cycle_start < 1 or cycle_length < 1:
-            raise SemigroupError("monogenic parameters must be >= 1")
+    def __init__(self, s: int, L: int):
+        if s < 1:
+            raise ElementSpecError("s must be >= 1", "$.s")
+        if L < 1:
+            raise ElementSpecError("L must be >= 1", "$.L")
         super().__init__()
-        self.cycle_start = cycle_start
-        self.cycle_length = cycle_length
-        self.order = cycle_start + cycle_length - 1
+        self.cycle_start = s
+        self.cycle_length = L
+        self.order = s + L - 1
         self._width = _byte_width(self.order)
+
+    @classmethod
+    def from_spec(cls, doc: dict):
+        ctx = cls(_require(doc, "s", int), _require(doc, "L", int))
+        e = doc.get("e", 1)
+        if not _is_int(e) or not 1 <= e <= ctx.order:
+            raise ElementSpecError(f"e must be in [1, {ctx.order}]", "$.e")
+        return ctx, e
+
+    def draw(self, rng):
+        return rng.randint(1, self.order)
 
     def canon(self, n: int) -> int:
         if n <= self.order:
@@ -322,52 +428,25 @@ class MonogenicContext(SemigroupContext):
                 "L": self.cycle_length, "e": a}
 
 
+_CONTEXTS = {cls.family: cls for cls in (
+    ZModContext, MatModContext, BoolMatContext, TransformationContext,
+    MonogenicContext)}
+
+FAMILIES = tuple(_CONTEXTS)
+
+
+def _context_class(family):
+    # a tuple test, not a dict lookup: the tag may be an unhashable value
+    if family not in FAMILIES:
+        raise ElementSpecError(f"unknown family {family!r}", "$.type")
+    return _CONTEXTS[family]
+
+
 def make_context(family: str, params: dict) -> SemigroupContext:
-    """Context for a named family; `params` uses the JSON spec field names."""
-    if family == "zmod":
-        return ZModContext(params["modulus"])
-    if family == "matmod":
-        return MatModContext(params["dim"], params["modulus"])
-    if family == "boolmat":
-        return BoolMatContext(params["dim"])
-    if family == "transformation":
-        return TransformationContext(params["degree"])
-    if family == "monogenic":
-        return MonogenicContext(params["s"], params["L"])
-    raise ElementSpecError(f"unknown family {family!r}", "$.type")
-
-
-def _require(doc: dict, name: str, kind, where: str):
-    if name not in doc:
-        raise ElementSpecError(f"missing field {name!r}", where)
-    val = doc[name]
-    if kind is int and (not isinstance(val, int) or isinstance(val, bool)):
-        raise ElementSpecError(f"field {name!r} must be an integer",
-                               f"{where}.{name}")
-    if kind is list and not isinstance(val, list):
-        raise ElementSpecError(f"field {name!r} must be an array",
-                               f"{where}.{name}")
-    return val
-
-
-def _parse_matrix(doc: dict, where: str):
-    rows = _require(doc, "entries", list, where)
-    if not rows:
-        raise ElementSpecError("matrix must have at least one row",
-                               f"{where}.entries")
-    dim = len(rows)
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ElementSpecError(
-                f"row {i} must be an array of length {dim}",
-                f"{where}.entries[{i}]")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ElementSpecError("matrix entries must be integers",
-                                       f"{where}.entries[{i}][{j}]")
-        out.append(tuple(row))
-    return dim, tuple(out)
+    """Context for a named family; `params` uses the JSON spec field names
+    and may carry a "type" key, so `describe()` output round-trips."""
+    return _context_class(family)(
+        **{k: v for k, v in params.items() if k != "type"})
 
 
 def parse_element_spec(text):
@@ -388,86 +467,9 @@ def parse_element_spec(text):
         doc = text
     if not isinstance(doc, dict):
         raise ElementSpecError("element spec must be a JSON object")
-    family = doc.get("type")
-    if family not in FAMILIES:
-        raise ElementSpecError(f"unknown family {family!r}", "$.type")
-
-    if family == "zmod":
-        modulus = _require(doc, "modulus", int, "$")
-        value = _require(doc, "value", int, "$")
-        if modulus < 2:
-            raise ElementSpecError("modulus must be >= 2", "$.modulus")
-        if not 0 <= value < modulus:
-            raise ElementSpecError(
-                f"value must be in [0, {modulus})", "$.value")
-        return ZModContext(modulus), value
-
-    if family == "matmod":
-        modulus = _require(doc, "modulus", int, "$")
-        if modulus < 2:
-            raise ElementSpecError("modulus must be >= 2", "$.modulus")
-        dim, mat = _parse_matrix(doc, "$")
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if not 0 <= v < modulus:
-                    raise ElementSpecError(
-                        f"entry must be in [0, {modulus})",
-                        f"$.entries[{i}][{j}]")
-        return MatModContext(dim, modulus), mat
-
-    if family == "boolmat":
-        dim, mat = _parse_matrix(doc, "$")
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ElementSpecError(
-                        "boolean matrix entries must be 0 or 1",
-                        f"$.entries[{i}][{j}]")
-        return BoolMatContext(dim), _pack_bits(mat)
-
-    if family == "transformation":
-        images = _require(doc, "map", list, "$")
-        degree = len(images)
-        if not 1 <= degree <= 255:
-            raise ElementSpecError("degree must be in [1, 255]", "$.map")
-        for i, v in enumerate(images):
-            if not isinstance(v, int) or not 1 <= v <= degree:
-                raise ElementSpecError(
-                    f"image must be in [1, {degree}]", f"$.map[{i}]")
-        return TransformationContext(degree), tuple(v - 1 for v in images)
-
-    # monogenic
-    s = _require(doc, "s", int, "$")
-    length = _require(doc, "L", int, "$")
-    if s < 1:
-        raise ElementSpecError("s must be >= 1", "$.s")
-    if length < 1:
-        raise ElementSpecError("L must be >= 1", "$.L")
-    ctx = MonogenicContext(s, length)
-    e = doc.get("e", 1)
-    if not isinstance(e, int) or not 1 <= e <= ctx.order:
-        raise ElementSpecError(
-            f"e must be in [1, {ctx.order}]", "$.e")
-    return ctx, e
+    return _context_class(doc.get("type")).from_spec(doc)
 
 
 def random_element(family: str, params: dict, seed: int):
     """Seed-deterministic element of the given family, uniform entries."""
-    rng = random.Random(seed)
-    if family == "zmod":
-        return rng.randrange(params["modulus"])
-    if family == "matmod":
-        d, m = params["dim"], params["modulus"]
-        return tuple(tuple(rng.randrange(m) for _ in range(d))
-                     for _ in range(d))
-    if family == "boolmat":
-        d = params["dim"]
-        return _pack_bits([[rng.randrange(2) for _ in range(d)]
-                           for _ in range(d)])
-    if family == "transformation":
-        d = params["degree"]
-        return tuple(rng.randrange(d) for _ in range(d))
-    if family == "monogenic":
-        order = params["s"] + params["L"] - 1
-        return rng.randint(1, order)
-    raise ElementSpecError(f"unknown family {family!r}", "$.type")
+    return make_context(family, params).draw(random.Random(seed))

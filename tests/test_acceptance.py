@@ -109,17 +109,17 @@ def test_criterion_2_remark_reproduction():
     detail = []
 
     ctx_a = MonogenicContext(5, 12)
-    if ctx_a.equal(power(ctx_a, 1, 15), power(ctx_a, 1, 3)):
+    if power(ctx_a, 1, 15) == power(ctx_a, 1, 3):
         detail.append("x^15 = x^3 in (5,12)")
 
     ctx_b = MonogenicContext(10, 15)
     y = power(ctx_b, 1, 5)
     collision = ctx_b.mul(y, power(ctx_b, 1, 6))
-    if not ctx_b.equal(collision, power(ctx_b, 1, 11)):
+    if collision != power(ctx_b, 1, 11):
         detail.append("y*x^6 != x^11")
-    if not ctx_b.equal(power(ctx_b, 1, 11), power(ctx_b, 1, 26)):
+    if power(ctx_b, 1, 11) != power(ctx_b, 1, 26):
         detail.append("x^11 != x^26")
-    if ctx_b.equal(power(ctx_b, 1, 5), power(ctx_b, 1, 20)):
+    if power(ctx_b, 1, 5) == power(ctx_b, 1, 20):
         detail.append("x^5 = x^20")
 
     sol, _ = semigroup_dlog(ctx_b, 1, y, CycleStructure(10, 15))
@@ -185,14 +185,14 @@ def test_criterion_3_dlp_round_trip(dlp_sweep):
         if not sol.contains(m):
             bad += 1
             continue
-        if not ctx.equal(power(ctx, x, sol.smallest()), y):
+        if power(ctx, x, sol.smallest()) != y:
             bad += 1
             continue
         if cyc.order <= 2000:
             enumerated += 1
             horizon = cyc.cycle_start + 3 * cyc.cycle_length
             true_set = {k for k in range(1, horizon + 1)
-                        if ctx.equal(power(ctx, x, k), y)}
+                        if power(ctx, x, k) == y}
             got_set = {k for k in range(1, horizon + 1) if sol.contains(k)}
             if true_set != got_set:
                 bad += 1
@@ -292,11 +292,11 @@ def test_criterion_7_group_machinery():
 
         for k in range(cyc.cycle_start, cyc.cycle_start + cyc.cycle_length):
             g = power(ctx, x, k)
-            if not ctx.equal(ctx.mul(gv.identity, g), g):
+            if ctx.mul(gv.identity, g) != g:
                 failures.append(f"{label}: identity fails to absorb x^{k}")
                 break
             inv = inverse_in_group(ctx, gv, k)
-            if not ctx.equal(ctx.mul(g, inv), gv.identity):
+            if ctx.mul(g, inv) != gv.identity:
                 failures.append(f"{label}: inverse of x^{k} wrong")
                 break
 
@@ -318,7 +318,7 @@ def test_criterion_7_group_machinery():
                           else power(ctx, gv.generator, m))
                 got = bsgs_group_dlog(ctx, gv, gv.generator, target,
                                       cyc.cycle_length)
-                scan = 0 if ctx.equal(target, gv.identity) else ref[ctx.key(target)]
+                scan = 0 if target == gv.identity else ref[ctx.key(target)]
                 if got != scan:
                     failures.append(
                         f"{label}: bsgs({m}) = {got}, brute scan {scan}")

@@ -268,6 +268,12 @@ def test_parse_error_exit_2(capsys):
      "--B", "1"],
     ["bench", "--family", "monogenic", "--sizes", "0"],
     ["bench", "--family", "monogenic", "--sizes", "64,-5"],
+    ["bench", "--family", "zmod", "--sizes", "100", "--trials", "0"],
+    ["bench", "--family", "zmod", "--sizes", "100", "--trials", "-1"],
+    ["bench", "--family", "matmod", "--sizes", "1", "--modulus", "1"],
+    ["bench", "--family", "matmod", "--sizes", "1", "--dim", "0"],
+    ["bench", "--family", "boolmat", "--sizes", "1", "--dim", "0"],
+    ["bench", "--family", "transformation", "--sizes", "300"],
 ], ids=lambda args: " ".join(a for a in args if not a.startswith("{")))
 def test_out_of_range_arguments_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -284,6 +290,11 @@ def test_spec_from_file(tmp_path, capsys):
     assert "cycle_length=20" in out
     code, _, err = run_cli(["cycle", "@/nonexistent/file.json"], capsys)
     assert code == 2
+    # not UTF-8: a read error, not a decode traceback
+    path.write_bytes(b"\xff\xfe" + ZMOD2.encode("utf-16-le"))
+    code, out, err = run_cli(["cycle", f"@{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read spec file")
 
 
 def test_out_file(tmp_path, capsys):

@@ -421,7 +421,7 @@ def test_oracle_smallest_matching_exponent_via_scan():
     ctx = MonogenicContext(2, 20)
     target = power(ctx, 1, 25)
     scan = next(k for k in range(1, 26)
-                if ctx.equal(power(ctx, 1, k), target))
+                if power(ctx, 1, k) == target)
     assert scan == 5
     assert group_dlog_oracle(ctx, 1, target, 32) == 5
 
@@ -451,9 +451,9 @@ def test_oracle_matches_brute_scan_randomly():
         k = rng.randint(1, 3 * cyc.order)
         target = power(ctx, base, k)
         got = group_dlog_oracle(ctx, base, target, 4 * cyc.order)
-        assert ctx.equal(power(ctx, base, got), target)
+        assert power(ctx, base, got) == target
         scan = next(i for i in range(1, cyc.order + 1)
-                    if ctx.equal(power(ctx, base, i), target))
+                    if power(ctx, base, i) == target)
         assert got == scan
 
 
@@ -528,6 +528,13 @@ def test_find_cycle_every_algorithm_matches_brute_force(instance_pool):
             cyc, trace = find_cycle(factory(), x, alg, bound=truth.order + 1)
             assert cyc == truth, (alg, factory(), x)
             assert (trace is None) == (alg == "brute")
+
+
+@pytest.mark.parametrize("alg", ["deterministic", "monico", "banin-tsaban"])
+def test_find_cycle_rejects_bound_zero(alg):
+    # an explicit bound of 0 is out of range, not a request for the default
+    with pytest.raises(SemigroupError, match="bound must be >= "):
+        find_cycle(ZModContext(100), 2, alg, bound=0)
 
 
 def test_find_cycle_unknown_algorithm():

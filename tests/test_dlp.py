@@ -81,8 +81,8 @@ def test_identity_absorbs(instance_pool):
         gv = make_group_view(ctx, x, cyc)
         for k in range(cyc.cycle_start, cyc.cycle_start + cyc.cycle_length):
             g = power(ctx, x, k)
-            assert ctx.equal(ctx.mul(gv.identity, g), g)
-            assert ctx.equal(ctx.mul(g, gv.identity), g)
+            assert ctx.mul(gv.identity, g) == g
+            assert ctx.mul(g, gv.identity) == g
 
 
 # --------------------------------------------------------------- membership
@@ -125,7 +125,7 @@ def test_inverse_zmod_example():
 def test_inverse_of_identity_exponent():
     ctx, gv = zmod_view()
     inv = inverse_in_group(ctx, gv, 20)
-    assert ctx.equal(inv, gv.identity)
+    assert inv == gv.identity
 
 
 def test_inverse_monogenic_10_15():
@@ -133,7 +133,7 @@ def test_inverse_monogenic_10_15():
     gv = make_group_view(ctx, 1, CycleStructure(10, 15))
     inv = inverse_in_group(ctx, gv, 16)
     assert inv == 14  # v = 2: 30 - 16
-    assert ctx.equal(ctx.mul(power(ctx, 1, 16), inv), gv.identity)
+    assert ctx.mul(power(ctx, 1, 16), inv) == gv.identity
 
 
 def test_inverse_requires_in_cycle_exponent():
@@ -150,7 +150,7 @@ def test_inverse_times_element_is_identity_everywhere(instance_pool):
         for n in range(cyc.cycle_start, cyc.cycle_start + cyc.cycle_length):
             inv = inverse_in_group(ctx, gv, n)
             assert in_group(ctx, gv, inv)
-            assert ctx.equal(ctx.mul(power(ctx, x, n), inv), gv.identity)
+            assert ctx.mul(power(ctx, x, n), inv) == gv.identity
 
 
 # --------------------------------------------------------------------- bsgs
@@ -343,7 +343,7 @@ def test_dlog_trace_identity_and_bounds(instance_pool):
             assert tr.c == (a - cyc.cycle_start) // cyc.cycle_length
             assert tr.raw == a - (tr.b + tr.c) * cyc.cycle_length
             assert sol.contains(m)
-            assert ctx.equal(power(ctx, x, sol.smallest()), y)
+            assert power(ctx, x, sol.smallest()) == y
 
 
 def test_dlog_round_trip_random(instance_pool):
@@ -373,7 +373,7 @@ def test_dlog_solution_set_matches_enumeration():
             y = power(ctx, x, target_exp)
             sol, _ = semigroup_dlog(ctx, x, y, cyc)
             true_set = {k for k in range(1, horizon + 1)
-                        if ctx.equal(power(ctx, x, k), y)}
+                        if power(ctx, x, k) == y}
             got_set = {k for k in range(1, horizon + 1) if sol.contains(k)}
             assert got_set == true_set, (ctx, target_exp)
 
@@ -465,4 +465,4 @@ def test_dlog_transformation_instance():
     y = power(ctx, x, 2)
     sol, _ = semigroup_dlog(ctx, x, y, cyc)
     assert sol.contains(2)
-    assert ctx.equal(power(ctx, x, sol.smallest()), y)
+    assert power(ctx, x, sol.smallest()) == y

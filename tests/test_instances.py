@@ -6,6 +6,7 @@ import pytest
 from semidlog import (
     BoolMatContext,
     ElementSpecError,
+    MatModContext,
     MonogenicContext,
     TransformationContext,
     ZModContext,
@@ -16,6 +17,7 @@ from semidlog import (
     power,
     random_element,
 )
+from semidlog.instances import FAMILIES
 
 
 def test_parse_zmod():
@@ -87,6 +89,42 @@ def test_parse_errors_carry_positions():
         parse_element_spec('{"type":"zmod","modulus":100}')
     with pytest.raises(ElementSpecError):
         parse_element_spec('{"type":"matmod","modulus":5,"entries":[[1,2],[3]]}')
+    # JSON true is not the integer 1; an unhashable tag is an unknown family
+    for spec, where in [
+            ('{"type":"monogenic","s":3,"L":4,"e":true}', "$.e"),
+            ('{"type":"transformation","map":[true,2]}', "$.map[0]"),
+            ('{"type":[]}', "$.type")]:
+        with pytest.raises(ElementSpecError) as err:
+            parse_element_spec(spec)
+        assert err.value.where == where
+
+
+# each constructor checks its parameters and names their spec paths
+@pytest.mark.parametrize("cls,args,where", [
+    (ZModContext, (1,), "$.modulus"),
+    (MatModContext, (2, 1), "$.modulus"),
+    (MatModContext, (0, 5), "$.entries"),
+    (BoolMatContext, (0,), "$.entries"),
+    (TransformationContext, (0,), "$.map"),
+    (TransformationContext, (256,), "$.map"),
+    (MonogenicContext, (0, 4), "$.s"),
+    (MonogenicContext, (3, 0), "$.L"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_constructors_reject_out_of_range_parameters(cls, args, where):
+    with pytest.raises(ElementSpecError) as err:
+        cls(*args)
+    assert err.value.where == where
+
+
+def test_make_context_round_trips_describe():
+    contexts = [ZModContext(100), MatModContext(3, 7), BoolMatContext(4),
+                TransformationContext(6), MonogenicContext(5, 12)]
+    # bench seeds are derived from each family's position in FAMILIES
+    assert tuple(ctx.family for ctx in contexts) == FAMILIES
+    for ctx in contexts:
+        again = make_context(ctx.family, ctx.describe())
+        assert type(again) is type(ctx)
+        assert again.describe() == ctx.describe()
 
 
 def test_random_element_is_seed_deterministic():
@@ -125,7 +163,7 @@ def test_monogenic_realizes_prescribed_cycle_structure():
 def test_cycle_length_counterexample_scenario():
     # (s, L) = (5, 12): 12 = 15 - 3 but x^15 != x^3
     ctx = MonogenicContext(5, 12)
-    assert not ctx.equal(power(ctx, 1, 15), power(ctx, 1, 3))
+    assert power(ctx, 1, 15) != power(ctx, 1, 3)
 
 
 def test_dlog_counterexample_scenario():
@@ -134,9 +172,9 @@ def test_dlog_counterexample_scenario():
     ctx = MonogenicContext(10, 15)
     y = power(ctx, 1, 5)
     lhs = ctx.mul(y, power(ctx, 1, 6))
-    assert ctx.equal(lhs, power(ctx, 1, 11))
-    assert ctx.equal(power(ctx, 1, 11), power(ctx, 1, 26))
-    assert not ctx.equal(y, power(ctx, 1, 20))
+    assert lhs == power(ctx, 1, 11)
+    assert power(ctx, 1, 11) == power(ctx, 1, 26)
+    assert y != power(ctx, 1, 20)
 
 
 def test_known_cycle_structures():
