@@ -53,15 +53,15 @@ def _instance_params(family: str, size: int, rng: random.Random, dim: int,
         return {"dim": dim, "modulus": modulus}
     if family == "boolmat":
         return {"dim": dim}
-    if family == "transformation":
-        return {"degree": max(1, size)}
-    raise SemigroupError(f"unknown bench family {family!r}")
+    return {"degree": max(1, size)}  # transformation
 
 
 def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
               seed: int = 0, bound: int | None = None,
               divisor_bound: int = 10 ** 4, rounds=None, dim: int = 2,
               modulus: int = 5, check_oracle: bool = True) -> list:
+    if family not in FAMILIES:
+        raise SemigroupError(f"unknown bench family {family!r}")
     records = []
     for size in sizes:
         for trial in range(trials):

@@ -37,6 +37,11 @@ class OracleFailureError(SemigroupError):
     """A discrete-log oracle found no exponent within its bound."""
 
 
+class DomainError(SemigroupError, ValueError):
+    """A number outside the domain its function accepts.  Also a
+    ValueError, so callers that catch ValueError keep working."""
+
+
 class SemigroupContext(ABC):
     """A concrete semigroup instance plus its multiplication counter.
 
@@ -154,12 +159,12 @@ class CycleStructure:
 
     def __post_init__(self):
         if self.cycle_start < 1 or self.cycle_length < 1:
-            raise ValueError("cycle start and cycle length must be >= 1")
+            raise DomainError("cycle start and cycle length must be >= 1")
         expected = self.cycle_start + self.cycle_length - 1
         if self.order == 0:
             object.__setattr__(self, "order", expected)
         elif self.order != expected:
-            raise ValueError(
+            raise DomainError(
                 f"order {self.order} != cycle_start + cycle_length - 1 = {expected}"
             )
 

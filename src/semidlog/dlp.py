@@ -3,11 +3,12 @@
 Once the cycle structure (s, L) of the base x is known, the powers
 {x^s, ..., x^(s+L-1)} form a cyclic group whose identity is x^(tL) with
 t = ceil(s/L) and whose generator is x' = x^(tL+1).  GroupView packages
-that data; semigroup_dlog reduces the semigroup problem to one BSGS run
-inside the group plus one binary search, and pohlig_hellman_dlog swaps
-the single BSGS for per-prime digit extraction when the factorization of
-L is available.  Both return the complete solution set: a unique exponent
-below the cycle start, or an arithmetic progression with period L.
+that data.  Both solvers reduce the semigroup problem to one binary search
+plus one discrete log in the group, taken over a split of L:
+semigroup_dlog uses [(L, 1)], a single BSGS run, and pohlig_hellman_dlog
+the prime factorization of L, with base-p digits per prime power.  Both
+return the complete solution set: a unique exponent below the cycle
+start, or an arithmetic progression with period L.
 
 Integer factorization and CRT support live in `numtheory` and are
 re-exported here for convenience.
@@ -15,7 +16,6 @@ re-exported here for convenience.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -213,12 +213,44 @@ def _shift_into_group(ctx, gv, y):
     return b, y_prime
 
 
-def _solve(ctx, x, y, cycle, group_log, trace):
+def _group_log(ctx, gv, y_prime, factorization, records):
+    """Log of y' to the base x' in the group, over pairs (p, e) whose
+    pairwise coprime p^e multiply to L.  Each part projects x' and y' into
+    the order-p^e subgroup, takes base-p digits with BSGS runs of order p
+    and appends a PrimePowerRecord to `records`; the CRT joins the
+    residues.  Only digits k >= 1 divide by the projected generator, so
+    its inverse is computed only for e >= 2, and a zero n_k is skipped (no
+    x^0).  The split [(L, 1)] is one BSGS, since power(., 1) is free.
+    """
+    length = gv.cycle.cycle_length
+    residues = []
+    for p, e in factorization:
+        pe = p ** e
+        cof = length // pe
+        xi = power(ctx, gv.generator, cof)
+        yi = power(ctx, y_prime, cof)
+        gamma = power(ctx, xi, p ** (e - 1))
+        if e >= 2:
+            zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
+        n_k = 0
+        digits = []
+        for k in range(e):
+            adjusted = ctx.mul(yi, power(ctx, zi, n_k)) if n_k else yi
+            y_k = power(ctx, adjusted, p ** (e - 1 - k))
+            d_k = bsgs_group_dlog(ctx, gv, gamma, y_k, p)
+            digits.append(d_k)
+            n_k += p ** k * d_k
+        residues.append((n_k, pe))
+        records.append(PrimePowerRecord(p, e, digits, n_k))
+    return crt_combine(residues)
+
+
+def _solve(ctx, x, y, cycle, factorization, trace, records):
     """The reduction shared by both solvers.
 
     Shift y into the group (binary search for b), then take m' = log of
-    the shifted target to the base x' with `group_log(gv, y')`.  With
-    A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
+    y' to the base x' over the parts of `factorization` (see _group_log).
+    With A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
     c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills in
     `trace` and returns (DlogSolution, trace).
     """
@@ -226,7 +258,7 @@ def _solve(ctx, x, y, cycle, group_log, trace):
     gv = make_group_view(ctx, x, cycle)  # validates x
     b, y_prime = _shift_into_group(ctx, gv, y)
     length = cycle.cycle_length
-    m_prime = group_log(gv, y_prime)
+    m_prime = _group_log(ctx, gv, y_prime, factorization, records)
     m_eff = m_prime if m_prime else length  # no x^0: identity is (x')^L
     a = (gv.t * length + 1) * m_eff
     c = (a - cycle.cycle_start) // length
@@ -243,75 +275,32 @@ def _solve(ctx, x, y, cycle, group_log, trace):
 def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     """All m with x^m = y, given the cycle structure of x.
 
-    One inverse-free BSGS for m' inside the group, after one binary search
-    of O((log N)^2) multiplications.  Returns (DlogSolution,
-    DlogTrace); raises NoSolutionError when y is not a power of x.
+    One inverse-free BSGS for m' inside the group (the one-part split
+    [(L, 1)] of the shared reduction), after one binary search of
+    O((log N)^2) multiplications.  Returns (DlogSolution, DlogTrace);
+    raises NoSolutionError when y is not a power of x.
     """
-    def group_log(gv, y_prime):
-        return bsgs_group_dlog(ctx, gv, gv.generator, y_prime,
-                               cycle.cycle_length)
-
-    return _solve(ctx, x, y, cycle, group_log, DlogTrace())
+    return _solve(ctx, x, y, cycle, [(cycle.cycle_length, 1)], DlogTrace(),
+                  [])
 
 
-def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure,
-                        factorization: list | None = None):
+def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     """Semigroup discrete log via per-prime digit extraction.
 
-    For each p^e dividing the cycle length L: project the generator and
-    the shifted target into the order-p^e subgroup, extract the base-p
-    digits of the residue with BSGS runs in the order-p subgroup (at most
-    ceil(sqrt(p)) + 1 table entries each), and recombine the residues with
-    the CRT.  The search for b and the final exponent formula are
-    shared with semigroup_dlog, so both solvers return identical solution
-    sets.  Whenever a partial exponent n_k is zero the z^(n_k) factor is
-    simply omitted (no zeroth power exists in a semigroup).  A supplied
-    `factorization` must be pairs (p, e) of ints p >= 2, e >= 1 whose
-    p^e are pairwise coprime and multiply to L; else SemigroupError.
+    The reduction of semigroup_dlog over the prime factorization of L:
+    BSGS runs in the order-p subgroups (at most ceil(sqrt(p)) + 1 table
+    entries each) take the base-p digits of each p^e, and the CRT joins
+    the residues, so both solvers return identical solution sets.  Raises
+    SemigroupError when L cannot be factored.
     """
-    length = cycle.cycle_length
-    if factorization is None:
-        try:
-            factorization = factor_integer(length)
-        except ValueError as exc:
-            raise SemigroupError(
-                f"cannot factor the cycle length: {exc}") from None
-    else:
-        product = 1
-        for p, e in factorization:
-            if not (isinstance(p, int) and isinstance(e, int) and p >= 2
-                    and e >= 1 and math.gcd(product, p) == 1):
-                raise SemigroupError(
-                    f"factorization {factorization} is not pairs (p, e) "
-                    "with p >= 2, e >= 1 and pairwise coprime p^e")
-            product *= p ** e
-        if product != length:
-            raise SemigroupError(f"factorization {factorization} does not "
-                                 f"multiply to {length}")
+    try:
+        factorization = factor_integer(cycle.cycle_length)
+    except ValueError as exc:
+        raise SemigroupError(
+            f"cannot factor the cycle length: {exc}") from None
     trace = PohligHellmanTrace()
-
-    def group_log(gv, y_prime):
-        residues = []
-        for p, e in factorization:
-            pe = p ** e
-            cof = length // pe
-            xi = power(ctx, gv.generator, cof)
-            yi = power(ctx, y_prime, cof)
-            gamma = power(ctx, xi, p ** (e - 1))
-            zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
-            n_k = 0
-            digits = []
-            for k in range(e):
-                adjusted = ctx.mul(yi, power(ctx, zi, n_k)) if n_k else yi
-                y_k = power(ctx, adjusted, p ** (e - 1 - k))
-                d_k = bsgs_group_dlog(ctx, gv, gamma, y_k, p)
-                digits.append(d_k)
-                n_k += p ** k * d_k
-            residues.append((n_k, pe))
-            trace.prime_records.append(PrimePowerRecord(p, e, digits, n_k))
-        return crt_combine(residues) if residues else 0
-
-    return _solve(ctx, x, y, cycle, group_log, trace)
+    return _solve(ctx, x, y, cycle, factorization, trace,
+                  trace.prime_records)
 
 
 DLOG_SOLVERS = {"reduction": semigroup_dlog,

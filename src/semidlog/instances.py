@@ -25,6 +25,7 @@ constructor is the one place that checks the instance parameters.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from functools import cache
@@ -443,10 +444,17 @@ def _context_class(family):
 
 
 def make_context(family: str, params: dict) -> SemigroupContext:
-    """Context for a named family; `params` uses the JSON spec field names
-    and may carry a "type" key, so `describe()` output round-trips."""
-    return _context_class(family)(
-        **{k: v for k, v in params.items() if k != "type"})
+    """Context for a named family; `params` holds exactly the integer
+    fields of `describe()` (the constructor's parameters) and may carry a
+    "type" key, so `describe()` output round-trips."""
+    cls = _context_class(family)
+    if not isinstance(params, dict):
+        raise ElementSpecError("parameters must be an object")
+    names = inspect.signature(cls).parameters
+    for key in params:
+        if key != "type" and key not in names:
+            raise ElementSpecError(f"unknown field {key!r}", f"$.{key}")
+    return cls(*(_require(params, name, int) for name in names))
 
 
 def parse_element_spec(text):
@@ -463,6 +471,10 @@ def parse_element_spec(text):
             raise ElementSpecError(
                 f"malformed JSON: {exc.msg}",
                 f"line {exc.lineno} column {exc.colno}") from exc
+        except UnicodeDecodeError as exc:
+            raise ElementSpecError(
+                f"spec bytes are not UTF-8, UTF-16 or UTF-32: {exc.reason}",
+                f"byte {exc.start}") from exc
     else:
         doc = text
     if not isinstance(doc, dict):

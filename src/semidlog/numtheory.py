@@ -1,7 +1,8 @@
 """Integer helpers: primality, factorization, CRT.
 
 These run on ordinary Python ints and are never counted against a
-semigroup multiplication budget.
+semigroup multiplication budget.  Arguments outside a helper's domain
+raise DomainError, which is also a ValueError.
 """
 
 from __future__ import annotations
@@ -10,9 +11,15 @@ import math
 import random
 from itertools import accumulate, chain, cycle
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers the documented n < 2^63 input range with room to spare).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .core import DomainError
+
+# Miller-Rabin with the first 13 prime bases is deterministic below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017).  The first 12 bases alone fail at psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -24,15 +31,18 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 def ceil_sqrt(n: int) -> int:
     """Smallest integer q with q*q >= n."""
     if n < 0:
-        raise ValueError("ceil_sqrt of negative number")
+        raise DomainError("ceil_sqrt of negative number")
     r = math.isqrt(n)
     return r + (r * r < n)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < PSI_13; DomainError from there."""
     if n < 2:
         return False
+    if n >= PSI_13:
+        raise DomainError(
+            f"is_prime is deterministic only below psi_13 = {PSI_13}")
     for p in _SMALL_PRIMES:
         if n == p:
             return True
@@ -125,9 +135,9 @@ def factor_integer(n: int) -> list:
     is certified by the deterministic Miller-Rabin test.
     """
     if n < 1:
-        raise ValueError("factor_integer requires n >= 1")
+        raise DomainError("factor_integer requires n >= 1")
     if n >= 1 << 63:
-        raise ValueError("factor_integer supports n < 2^63")
+        raise DomainError("factor_integer supports n < 2^63")
     found, n = _trial_division(n, TRIAL_DIVISION_LIMIT)
     factors = dict(found)
 
@@ -182,15 +192,15 @@ def crt_combine(residues) -> int:
     """Unique solution mod prod(moduli) of x = r_i (mod m_i).
 
     `residues` is an iterable of (r_i, m_i) pairs with pairwise coprime
-    moduli; non-coprime moduli raise ValueError.
+    moduli; non-coprime moduli raise DomainError.
     """
     x, mod = 0, 1
     for r, m in residues:
         if m < 1:
-            raise ValueError("moduli must be positive")
+            raise DomainError("moduli must be positive")
         g = math.gcd(mod, m)
         if g != 1:
-            raise ValueError(f"moduli are not pairwise coprime (gcd {g})")
+            raise DomainError(f"moduli are not pairwise coprime (gcd {g})")
         # merge x (mod mod) with r (mod m)
         inv = pow(mod, -1, m)
         x = x + mod * ((r - x) * inv % m)

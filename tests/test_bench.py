@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from semidlog import SemigroupError
 from semidlog.bench import (
     records_to_csv,
     records_to_jsonl,
@@ -57,3 +60,9 @@ def test_serialization_round_trip():
 
 def test_empty_sweep_yields_no_records():
     assert run_sweep("zmod", "deterministic", [], trials=5, seed=0) == []
+
+
+def test_sweep_rejects_unknown_family():
+    for sizes in ([8], []):
+        with pytest.raises(SemigroupError, match="unknown bench family"):
+            run_sweep("nope", "deterministic", sizes)

@@ -4,6 +4,7 @@ import pytest
 
 from semidlog import (
     CycleStructure,
+    DomainError,
     IncompatibleElementError,
     MatModContext,
     MonogenicContext,
@@ -182,3 +183,11 @@ def test_cycle_structure_validation():
         CycleStructure(2, 20, 22)
     with pytest.raises(ValueError):
         CycleStructure(0, 5)
+
+
+def test_cycle_structure_errors_are_domain_errors():
+    for args in [(0, 3), (3, 0), (2, 20, 22)]:
+        with pytest.raises(DomainError) as err:
+            CycleStructure(*args)
+        assert isinstance(err.value, SemigroupError)
+        assert isinstance(err.value, ValueError)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from semidlog import dlp
 from semidlog import (
     CycleStructure,
     DlogTrace,
@@ -427,18 +428,21 @@ def test_ph_prime_cycle_length_single_digit():
     assert len(trace.prime_records[0].digits) == 1
 
 
-def test_ph_accepts_explicit_factorization():
-    ctx = ZModContext(100)
-    sol, _ = pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20),
-                                 factorization=[(2, 2), (5, 1)])
-    assert sol.to_json() == {"kind": "progression", "m0": 15, "period": 20}
-    # short product, repeated prime, non-int prime, p < 2, e < 1
-    for bad in ([(2, 2)], [(2, 1), (2, 1), (5, 1)], [("a", 1)],
-                [(1, 3), (20, 1)], [(2, 2), (5, 1), (3, 0)],
-                [(2.0, 2), (5, 1)]):
-        with pytest.raises(SemigroupError):
-            pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20),
-                                factorization=bad)
+def test_ph_squarefree_length_needs_no_inverse(monkeypatch):
+    # every p^e of L = 2*3*5*7*11 has e = 1: one digit each, so no digit
+    # divides by the projected generator and its inverse is never computed
+    def no_inverse(*args):
+        raise AssertionError("inverse_in_group called for e = 1")
+
+    monkeypatch.setattr(dlp, "inverse_in_group", no_inverse)
+    ctx = MonogenicContext(4, 2310)
+    cyc = CycleStructure(4, 2310)
+    for m in (2, 4, 1000, 2313, 5000):
+        y = power(ctx, 1, m)
+        sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
+        assert sol.contains(m)
+        assert sol == semigroup_dlog(ctx, 1, y, cyc)[0]
+        assert [r.prime for r in trace.prime_records] == [2, 3, 5, 7, 11]
 
 
 def test_ph_prime_power_heavy_length():

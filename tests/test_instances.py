@@ -116,6 +116,35 @@ def test_constructors_reject_out_of_range_parameters(cls, args, where):
     assert err.value.where == where
 
 
+def test_parse_rejects_bytes_that_are_not_unicode_text():
+    with pytest.raises(ElementSpecError) as err:
+        parse_element_spec(b"\xff\xfe{")
+    assert "not UTF-8" in str(err.value)
+    ctx, x = parse_element_spec(b'{"type":"zmod","modulus":10,"value":3}')
+    assert (ctx.modulus, x) == (10, 3)
+
+
+# make_context takes exactly the integer fields of describe(); the
+# constructors still check their ranges
+@pytest.mark.parametrize("family, params, where, message", [
+    ("zmod", {}, "$", "missing field 'modulus'"),
+    ("matmod", {"dim": 2}, "$", "missing field 'modulus'"),
+    ("zmod", {"modulus": 5, "value": 2}, "$.value", "unknown field"),
+    ("monogenic", {"s": 1, "L": 2, "e": 1}, "$.e", "unknown field"),
+    ("zmod", {"modulus": 5.0}, "$.modulus", "must be an integer"),
+    ("transformation", {"degree": "3"}, "$.degree", "must be an integer"),
+    ("boolmat", {"dim": True}, "$.dim", "must be an integer"),
+    ("zmod", [("modulus", 5)], "$", "must be an object"),
+    ("octonion", {}, "$.type", "unknown family"),
+    ("monogenic", {"s": 0, "L": 3}, "$.s", "s must be >= 1"),
+])
+def test_make_context_rejects_malformed_parameters(family, params, where,
+                                                   message):
+    with pytest.raises(ElementSpecError, match=message) as err:
+        make_context(family, params)
+    assert err.value.where == where
+
+
 def test_make_context_round_trips_describe():
     contexts = [ZModContext(100), MatModContext(3, 7), BoolMatContext(4),
                 TransformationContext(6), MonogenicContext(5, 12)]

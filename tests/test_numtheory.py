@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from semidlog import DomainError, SemigroupError
 from semidlog.numtheory import (
+    PSI_13,
     ceil_sqrt,
     crt_combine,
     factor_integer,
@@ -35,6 +37,37 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(1729)
     assert is_prime(2 ** 31 - 1)      # Mersenne prime
     assert not is_prime(2 ** 29 - 1)  # 233 * 1103 * 2089
+
+
+def test_is_prime_past_twelve_bases():
+    # psi_12, the least strong pseudoprime to the prime bases 2..37
+    psi_12 = 318665857834031151167461
+    assert not is_prime(psi_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert 399165290221 * 798330580441 == psi_12
+    with pytest.raises(DomainError, match="psi_13"):
+        is_prime(PSI_13)
+    with pytest.raises(DomainError):
+        is_prime(PSI_13 + 2)
+
+
+# every integer helper outside its domain raises one typed error, which
+# is a SemigroupError and, for older callers, a ValueError
+@pytest.mark.parametrize("call, message", [
+    (lambda: ceil_sqrt(-1), "ceil_sqrt of negative number"),
+    (lambda: factor_integer(0), "factor_integer requires n >= 1"),
+    (lambda: factor_integer(2 ** 64), r"factor_integer supports n < 2\^63"),
+    (lambda: crt_combine([(1, 4), (1, 6)]),
+     r"moduli are not pairwise coprime \(gcd 2\)"),
+    (lambda: crt_combine([(0, 0)]), "moduli must be positive"),
+    (lambda: is_prime(PSI_13), "deterministic only below psi_13"),
+], ids=["ceil_sqrt", "factor-0", "factor-2^64", "crt-coprime",
+        "crt-modulus", "is_prime"])
+def test_integer_helpers_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message) as err:
+        call()
+    assert isinstance(err.value, SemigroupError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_next_prime():
