@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="deterministic")
     p_cycle.add_argument("--bound", type=int, default=None,
                          help="known upper bound on the order; forces a "
-                              "single round instead of doubling")
+                              "single round instead of growing the bound "
+                              "x4 per round")
     p_cycle.add_argument("--B", dest="divisor_bound", type=int,
                          default=10 ** 4, metavar="N",
                          help="divisor bound for monico stripping")

@@ -4,7 +4,8 @@ Four routes to the cycle structure:
 
   brute_force_cycle           exhaustive power enumeration; the ground
                               truth every other route is tested against
-  deterministic_cycle_length  doubling baby-step/giant-step rounds; exact
+  deterministic_cycle_length  baby-step/giant-step rounds at bounds
+                              growing x4; exact
   monico_cycle_length         collision search with a prime offset and
                               divisor stripping; may return a proper
                               multiple of the cycle length
@@ -70,14 +71,18 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
                          "element may not be torsion")
 
 
-def _doubling_search(ctx, trace, attempt, n, doubling, miss, failed=None):
-    """Run attempt(n), attempt(2n), ... until one returns a cycle length;
-    returns (length, trace) with trace.multiplications and
+def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
+    """Run attempt(n), attempt(4n), attempt(16n), ... until one returns a
+    cycle length; returns (length, trace) with trace.multiplications and
     trace.cycle_length filled in.
 
-    Without `doubling`, a single attempt whose miss raises SemigroupError
-    with the message `miss`.  Bounds that missed are appended to `failed`
-    when it is given; no attempt runs past _DOUBLING_CAP.
+    The bound grows x4, not x2: a round's cost grows like the square root
+    of its bound, so x4 doubles the cost per round and the failed rounds
+    cost about as much as the accepting one, against 2.4 times as much when
+    doubling.  Without `grow`, a single attempt whose miss raises
+    SemigroupError with the message `miss`.  Bounds that missed are
+    appended to `failed` when it is given; no attempt runs past
+    _DOUBLING_CAP.
     """
     start_count = ctx.mult_count
     while True:
@@ -86,11 +91,11 @@ def _doubling_search(ctx, trace, attempt, n, doubling, miss, failed=None):
             trace.multiplications = ctx.mult_count - start_count
             trace.cycle_length = length
             return length, trace
-        if not doubling:
+        if not grow:
             raise SemigroupError(miss)
         if failed is not None:
             failed.append(n)
-        n *= 2
+        n *= 4
         if n > _DOUBLING_CAP:
             raise SemigroupError(
                 "doubling cap exceeded; element may not be torsion")
@@ -98,7 +103,7 @@ def _doubling_search(ctx, trace, attempt, n, doubling, miss, failed=None):
 
 @dataclass(frozen=True)
 class Alg4Round(Trace):
-    """One doubling round of the deterministic algorithm."""
+    """One round of the deterministic algorithm, at one bound."""
 
     bound: int
     stride: int
@@ -138,7 +143,7 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     multiple when the table straddles the cycle start.  The candidate is
     therefore accepted only after checking x^N = x^(N + candidate); a
     failed check means this round's bound was too small and the caller
-    doubles.
+    quadruples it.
     """
     q = ceil_sqrt(bound)
     base = power(ctx, x, bound)
@@ -178,11 +183,11 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
                                known_bound: int | None = None):
     """Exact cycle length of a torsion element; returns (L, Alg4Trace).
 
-    Without a bound, rounds run at N = 1, 2, 4, ... until a validated
+    Without a bound, rounds run at N = 1, 4, 16, ... until a validated
     collision appears, which is guaranteed once N reaches
     max(cycle start, cycle length).  With `known_bound` (an upper bound on
     the order), a single round at that bound suffices and a failure to
-    find a collision raises instead of doubling.
+    find a collision raises instead of growing the bound.
     """
     ctx.validate(x)
     if known_bound is not None and known_bound < 1:
@@ -269,7 +274,10 @@ class MonicoTrace(Trace):
 
     @property
     def table_peak(self) -> int:
-        return self.m + 1
+        # a failed round stores all m + 1 entries; the last one stops at
+        # its first duplicate (first, i), having stored i
+        last = self.duplicate_pair[1] if self.duplicate_pair else self.m + 1
+        return max([last] + [ceil_sqrt(b) + 1 for b in self.attempts])
 
 
 def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
@@ -304,9 +312,10 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
     q = next_prime(bound)
     trace.bound, trace.m, trace.prime = bound, m, q
 
-    # table[x^(q + i*m)] = the first i reaching that value, i = 0..m; the
-    # first repeat met spans one period P = L/gcd(L, m) of the index, as
-    # in-cycle entries repeat exactly every P steps and earlier ones never
+    # table[x^(q + i*m)] = i for i = 0..m, until the first repeat; that
+    # repeat spans one period P = L/gcd(L, m) of the index, as in-cycle
+    # entries repeat exactly every P steps and earlier ones never, and it
+    # is all the round reads, so the walk stops there
     cur = power(ctx, x, q)
     step = power(ctx, x, m)
     prod = ctx._product
@@ -315,9 +324,10 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
     for i in range(1, m + 1):
         cur = prod(cur, step)
         first = table.setdefault(cur, i)
-        if first != i and duplicate is None:
+        if first != i:
             duplicate = (first, i)
-    ctx.mult_count += m
+            break
+    ctx.mult_count += i
 
     # strip at an exponent the collision certifies to lie in the cycle
     # (the smaller of two with equal powers): at a pre-cycle exponent no
@@ -371,10 +381,11 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     """Monico's baby-step giant-step route; returns (L, MonicoTrace).
 
     With a valid bound (at least the order of x) or without one (the
-    search then doubles an internal bound until collisions appear), the
-    output is a positive multiple of the cycle length; it equals the cycle
-    length unless stripping misses a factor above `divisor_bound`, an
-    event whose probability drops off as (1 - 1/B)^log(g).
+    search then runs at internal bounds 1, 4, 16, ... until collisions
+    appear), the output is a positive multiple of the cycle length; it
+    equals the cycle length unless stripping misses a factor above
+    `divisor_bound`, an event whose probability drops off as
+    (1 - 1/B)^log(g).
 
     The computation is deterministic: the prime offset is the smallest
     prime above the bound.  `seed` is accepted for interface uniformity
@@ -522,7 +533,8 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     lcm.  The accumulated candidate is checked against a certified
     in-cycle exponent and reduced by prime cofactors to the cycle length;
     any failure (oracle miss because z fell below the cycle start, no
-    certificate, candidate not a multiple) doubles the bound and retries.
+    certificate, candidate not a multiple) quadruples the bound and
+    retries.
     Outer rounds default to ceil(log2 log2 bound) + 1.
     """
     ctx.validate(x)

@@ -475,6 +475,9 @@ def parse_element_spec(text):
             raise ElementSpecError(
                 f"spec bytes are not UTF-8, UTF-16 or UTF-32: {exc.reason}",
                 f"byte {exc.start}") from exc
+        except (ValueError, RecursionError) as exc:
+            # the decoder's limits: integer digits and nesting depth
+            raise ElementSpecError(f"malformed JSON: {exc}") from exc
     else:
         doc = text
     if not isinstance(doc, dict):

@@ -66,7 +66,7 @@ def test_cycle_banin_reproducible(capsys):
 def test_cycle_deterministic_trace_in_json(capsys):
     code, out, _ = run_cli(["cycle", "--json-output", ZMOD2], capsys)
     doc = json.loads(out)
-    assert doc["trace"]["rounds"][-1]["giant_hit"] == [4, 4]
+    assert doc["trace"]["rounds"][-1]["giant_hit"] == [3, 4]
     assert doc["multiplications"] > 0
 
 
@@ -170,7 +170,7 @@ def test_bench_dispatch_matches_library_call(alg, flags, capsys):
             ctx, 1, alg, run_bound, divisor_bound, rounds, row["seed"])
         truth = brute_force_cycle(make_context("monogenic", params), 1)
         peak = {"deterministic": lambda: trace.table_peak,
-                "monico": lambda: trace.m + 1,
+                "monico": lambda: trace.table_peak,
                 "banin-tsaban": lambda: None,
                 "brute": lambda: truth.order}[alg]()
         assert row == {
@@ -193,6 +193,20 @@ def test_cycle_unfactorable_length_exits_3(capsys, monkeypatch):
         ["cycle", '{"type":"monogenic","s":1,"L":1,"e":1}'], capsys)
     assert code == 3
     assert "cannot reduce" in err
+
+
+def test_cycle_monico_huge_bound_stops_at_first_duplicate():
+    # m = 10^10 giant steps at this bound, but x^m is the idempotent, so
+    # the walk repeats at its first step; a subprocess with a timeout, so
+    # a walk over the whole table fails instead of hanging
+    package_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(semidlog.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "semidlog.cli", "cycle", "--alg", "monico",
+         "--bound", str(10 ** 20), ZMOD2], capture_output=True, text=True,
+        env={"PATH": "", "PYTHONPATH": package_root}, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert "cycle_start=2 cycle_length=20" in out.stdout
 
 
 def test_cycle_brute_past_cap_exits_3():
@@ -256,6 +270,13 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(["cycle", '{"type":"widget"}'], capsys)
     assert code == 2
+
+
+def test_spec_integer_past_digit_limit_exit_2(capsys):
+    spec = '{"type":"zmod","modulus":' + "9" * 5000 + ',"value":1}'
+    code, _, err = run_cli(["cycle", spec], capsys)
+    assert code == 2
+    assert err.startswith("error: malformed JSON: ")
 
 
 @pytest.mark.parametrize("args", [

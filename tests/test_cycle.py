@@ -104,9 +104,9 @@ def test_deterministic_zmod_final_round_trace():
     length, trace = deterministic_cycle_length(ctx, 2)
     assert length == 20
     final = trace.rounds[-1]
-    assert (final.bound, final.stride) == (32, 6)
-    assert final.giant_hit == (4, 4)  # x^56 = x^36
-    assert pow(2, 56, 100) == pow(2, 36, 100)
+    assert (final.bound, final.stride) == (64, 8)
+    assert final.giant_hit == (3, 4)  # x^88 = x^68
+    assert pow(2, 88, 100) == pow(2, 68, 100)
     assert final.accepted and final.candidate == 20
 
 
@@ -122,7 +122,7 @@ def test_deterministic_monogenic_5_12_trace():
     ctx = MonogenicContext(5, 12)
     length, trace = deterministic_cycle_length(ctx, 1)
     assert length == 12
-    assert [r.bound for r in trace.rounds] == [1, 2, 4, 8, 16]
+    assert [r.bound for r in trace.rounds] == [1, 4, 16]
     assert all(r.giant_hit is None and r.baby_hit is None
                for r in trace.rounds[:-1])
     final = trace.rounds[-1]
@@ -131,14 +131,36 @@ def test_deterministic_monogenic_5_12_trace():
     assert final.accepted
 
 
-def test_deterministic_bounds_double_from_one():
-    ctx = TransformationContext(7)
-    elem = (1, 2, 3, 4, 5, 6, 0)
-    _, trace = deterministic_cycle_length(ctx, elem)
-    bounds = [r.bound for r in trace.rounds]
-    assert bounds == [2 ** i for i in range(len(bounds))]
-    assert trace.rounds[-1].baby_hit is not None or \
-        trace.rounds[-1].giant_hit is not None
+def test_unknown_bound_schedules_quadruple():
+    # bound-free, every algorithm tries b, 4b, 16b, ... from its start
+    # bound b (1, 1 and 16) until one attempt succeeds
+    ctx = MonogenicContext(37, 360)
+    _, det = deterministic_cycle_length(ctx, 1)
+    _, mon = monico_cycle_length(ctx, 1)
+    _, ban = banin_tsaban_cycle_length(ctx, 1, seed=2)
+    for start, bounds in [(1, [r.bound for r in det.rounds]),
+                          (1, mon.attempts + [mon.bound]),
+                          (16, ban.failed_bounds + [ban.bound])]:
+        assert len(bounds) >= 4
+        assert bounds == [start * 4 ** i for i in range(len(bounds))]
+    assert not any(r.accepted for r in det.rounds[:-1])
+    assert det.rounds[-1].accepted
+
+
+def test_deterministic_cost_per_sqrt_order_on_envelope():
+    # criterion 6's instances: orders 2^8 .. 2^20, four (s, L) splits each;
+    # the mean of multiplications / sqrt(order) was 7.34 when the bound
+    # doubled and is 4.23 when it quadruples
+    splits = [lambda n: (1, n), lambda n: (n // 2, n // 2 + 1),
+              lambda n: (n - 1, 2), lambda n: (2, n - 1)]
+    ratios = []
+    for k in range(8, 21, 2):
+        order = 2 ** k
+        for split in splits:
+            _, trace = deterministic_cycle_length(
+                MonogenicContext(*split(order)), 1)
+            ratios.append(trace.multiplications / math.sqrt(order))
+    assert sum(ratios) / len(ratios) < 5.5
 
 
 def test_deterministic_accepted_round_satisfies_length_identity():
@@ -313,6 +335,20 @@ def test_monico_duplicate_pair_spans_one_period():
         assert trace.gcd_value == period * trace.m
 
 
+def test_monico_table_peak_counts_stored_entries():
+    # a walk with a duplicate (first, i) stops there having stored i
+    # entries, one without stores all m + 1, and a failed round at bound b
+    # stored ceil_sqrt(b) + 1
+    ctx = ZModContext(100)
+    _, trace = monico_cycle_length(ctx, 2, bound=100, divisor_bound=100)
+    assert (trace.duplicate_pair, trace.m, trace.table_peak) == ((0, 2), 10, 2)
+    _, trace = monico_cycle_length(MonogenicContext(6, 59), 1, bound=64)
+    assert trace.duplicate_pair is None and trace.table_peak == trace.m + 1
+    _, trace = monico_cycle_length(MonogenicContext(300, 6), 1)
+    assert trace.attempts == [1, 4, 16, 64] and trace.duplicate_pair == (3, 6)
+    assert trace.table_peak == ceil_sqrt(64) + 1 == 9
+
+
 def test_monico_exact_for_small_prime_lengths():
     for p in (2, 3, 5, 7, 11):
         ctx = MonogenicContext(1, p)
@@ -370,7 +406,7 @@ def test_monico_overshoot_fixture():
 
 
 def test_monico_bound_free_strips_inside_the_cycle():
-    # the final doubling round sits at a bound far below the cycle start;
+    # the final round sits at a bound far below the cycle start;
     # stripping checked there would keep 48 = 8 * 6
     length, trace = monico_cycle_length(MonogenicContext(300, 6), 1)
     assert length == 6

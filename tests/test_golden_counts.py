@@ -42,40 +42,46 @@ SPECS = {
 
 # (family, algorithm, bound) -> (cycle start, cycle length, mults), where
 # mults covers the cycle-length algorithm plus cycle_start_search; the
-# bound is None (doubling) or the element's order.  Monico strips at the
-# exponent its collision certifies to lie in the cycle (not at the bound),
-# and Banin-Tsaban reduces its verified multiple by prime cofactors (not by
-# a scan over all divisors); both changed only these counts, not answers
+# bound is None (bound-free: the bound grows x4 per failed attempt) or the
+# element's order.  Monico strips at the exponent its collision certifies
+# to lie in the cycle (not at the bound), and Banin-Tsaban reduces its
+# verified multiple by prime cofactors (not by a scan over all divisors);
+# both changed only these counts, not answers.  Growing the bound x4
+# instead of x2 moved every bound-free count but the three Banin-Tsaban
+# ones whose first attempt succeeds; two rose (boolmat Monico and
+# monogenic Banin-Tsaban accept at 4 and 1024, where doubling accepted at
+# 2 and 512).  Monico's giant walk stops at its first duplicate, which
+# lowered boolmat and monogenic Monico at the order.  Answers are unchanged
 CYCLE_CASES = {
-    ("zmod", "deterministic", None): (3, 100, 135),
+    ("zmod", "deterministic", None): (3, 100, 104),
     ("zmod", "deterministic", 102): (3, 100, 60),
-    ("zmod", "monico", None): (3, 100, 293),
+    ("zmod", "monico", None): (3, 100, 216),
     ("zmod", "monico", 102): (3, 100, 114),
-    ("zmod", "banin-tsaban", None): (3, 100, 949),
+    ("zmod", "banin-tsaban", None): (3, 100, 808),
     ("zmod", "banin-tsaban", 102): (3, 100, 611),
-    ("matmod", "deterministic", None): (3, 18, 71),
+    ("matmod", "deterministic", None): (3, 18, 59),
     ("matmod", "deterministic", 20): (3, 18, 36),
-    ("matmod", "monico", None): (3, 18, 121),
+    ("matmod", "monico", None): (3, 18, 81),
     ("matmod", "monico", 20): (3, 18, 65),
     ("matmod", "banin-tsaban", None): (3, 18, 222),
     ("matmod", "banin-tsaban", 20): (3, 18, 299),
-    ("boolmat", "deterministic", None): (4, 3, 26),
+    ("boolmat", "deterministic", None): (4, 3, 21),
     ("boolmat", "deterministic", 6): (4, 3, 17),
-    ("boolmat", "monico", None): (4, 3, 33),
-    ("boolmat", "monico", 6): (4, 3, 25),
+    ("boolmat", "monico", None): (4, 3, 37),
+    ("boolmat", "monico", 6): (4, 3, 23),
     ("boolmat", "banin-tsaban", None): (4, 3, 193),
     ("boolmat", "banin-tsaban", 6): (4, 3, 145),
-    ("transformation", "deterministic", None): (5, 7, 49),
+    ("transformation", "deterministic", None): (5, 7, 45),
     ("transformation", "deterministic", 11): (5, 7, 39),
-    ("transformation", "monico", None): (5, 7, 63),
+    ("transformation", "monico", None): (5, 7, 50),
     ("transformation", "monico", 11): (5, 7, 52),
     ("transformation", "banin-tsaban", None): (5, 7, 229),
     ("transformation", "banin-tsaban", 11): (5, 7, 201),
-    ("monogenic", "deterministic", None): (37, 360, 297),
+    ("monogenic", "deterministic", None): (37, 360, 233),
     ("monogenic", "deterministic", 396): (37, 360, 141),
-    ("monogenic", "monico", None): (37, 360, 548),
-    ("monogenic", "monico", 396): (37, 360, 180),
-    ("monogenic", "banin-tsaban", None): (37, 360, 1897),
+    ("monogenic", "monico", None): (37, 360, 425),
+    ("monogenic", "monico", 396): (37, 360, 178),
+    ("monogenic", "banin-tsaban", None): (37, 360, 1936),
     ("monogenic", "banin-tsaban", 396): (37, 360, 1068),
 }
 

@@ -124,6 +124,16 @@ def test_parse_rejects_bytes_that_are_not_unicode_text():
     assert (ctx.modulus, x) == (10, 3)
 
 
+@pytest.mark.parametrize("text", [
+    '{"type":"zmod","modulus":' + "9" * 5000 + ',"value":1}',
+    "[" * 100000 + "]" * 100000,
+], ids=["integer-past-digit-limit", "nesting-past-recursion-limit"])
+def test_parse_rejects_json_past_decoder_limits(text):
+    with pytest.raises(ElementSpecError) as err:
+        parse_element_spec(text)
+    assert str(err.value).startswith("malformed JSON: ")
+
+
 # make_context takes exactly the integer fields of describe(); the
 # constructors still check their ranges
 @pytest.mark.parametrize("family, params, where, message", [

@@ -3,8 +3,10 @@
 Four properties, each checked on small drawn instances of every family:
 every cycle algorithm agrees with brute force, both dlog solvers recover
 the solution set of a drawn exponent, keys are injective, and element
-specs round-trip through emit and parse.  Runs are derandomized, so a
-failure reproduces on every run.
+specs round-trip through emit and parse.  Two more feed JSON-like junk to
+`parse_element_spec` and `make_context` and check that only typed
+`SemigroupError`s escape.  Runs are derandomized, so a failure reproduces
+on every run.
 """
 
 import json
@@ -19,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from semidlog import (  # noqa: E402
     CYCLE_ALGORITHMS,
     DLOG_SOLVERS,
+    SemigroupError,
     brute_force_cycle,
     find_cycle,
     make_context,
@@ -127,3 +130,56 @@ def test_spec_round_trip(family, data):
     assert x2 == x
     assert ctx2.key(x2) == ctx.key(x)
     assert ctx2.element_json(x2) == doc
+
+
+# JSON-like junk
+_FIELDS = ["type", "modulus", "value", "entries", "dim", "map", "degree",
+           "s", "L", "e"]
+_KEYS = st.sampled_from(_FIELDS) | st.text(max_size=4)
+
+
+def _junk(integers):
+    scalars = (st.none() | st.booleans() | integers
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(max_size=6))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(_KEYS, inner, max_size=4)),
+        max_leaves=16)
+
+
+# a spec's dimensions are the lengths of its arrays, so its integers may
+# be of any size; make_context's `dim` sizes the context's precomputed
+# tables, and a huge one exhausts memory or time instead of raising (an
+# open fault), so its integers stay small
+_SPEC_JUNK = _junk(st.integers())
+_PARAM_JUNK = _junk(st.integers(-3, 12))
+# spec-shaped documents: a type tag and some of the known fields
+_SPEC = st.builds(lambda tag, rest: {"type": tag, **rest},
+                  st.sampled_from(FAMILIES) | _SPEC_JUNK,
+                  st.dictionaries(_KEYS, _SPEC_JUNK, max_size=4))
+# what parse_element_spec takes: a document, its JSON text or UTF-8 bytes,
+# or arbitrary text and bytes
+_SPEC_INPUT = (_SPEC | _SPEC_JUNK | (_SPEC | _SPEC_JUNK).map(json.dumps)
+               | (_SPEC | _SPEC_JUNK).map(lambda d: json.dumps(d).encode())
+               | st.text(max_size=40) | st.binary(max_size=40))
+
+
+@PROPERTY
+@given(spec=_SPEC_INPUT)
+def test_parse_junk_raises_only_typed_errors(spec):
+    try:
+        parse_element_spec(spec)
+    except SemigroupError:
+        pass
+
+
+@PROPERTY
+@given(family=st.sampled_from(FAMILIES) | _PARAM_JUNK,
+       params=st.dictionaries(_KEYS, _PARAM_JUNK, max_size=4) | _PARAM_JUNK)
+def test_make_context_junk_raises_only_typed_errors(family, params):
+    try:
+        make_context(family, params)
+    except SemigroupError:
+        pass
