@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import SemigroupError
+from .core import DomainError, SemigroupError
 from .cycle import brute_force_cycle, find_cycle
 from .instances import FAMILIES, make_context, random_element
 
@@ -62,6 +62,9 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
               modulus: int = 5, check_oracle: bool = True) -> list:
     if family not in FAMILIES:
         raise SemigroupError(f"unknown bench family {family!r}")
+    sizes = list(sizes)
+    if trials < 1 or min(sizes, default=1) < 1:
+        raise DomainError("bench sizes and trials must be >= 1")
     records = []
     for size in sizes:
         for trial in range(trials):

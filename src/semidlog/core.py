@@ -12,7 +12,8 @@ domain error.  Every family represents an element by one canonical,
 hashable value, so `==` and `hash` are element equality: collision tables
 are plain dicts keyed by the element, and equality tests compare elements
 directly.  The byte key is the stable serialization format only (golden
-encodings, output); no algorithm needs it.
+encodings, output); no algorithm needs it.  Besides `power`, the module
+holds the collision-table primitive, `table_walk` and `probe_walk`.
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ class SemigroupContext(ABC):
     share one context across threads that multiply concurrently.
 
     `mult_count` is exact whenever a public function returns or raises.
-    The walks (the baby-step/giant-step loops, brute force and `power`)
-    call `_product` directly and add their multiplications to the counter
-    in one step per exit of the walk, so inside a walk it is updated only
-    at that exit.  Only a family whose `_product` raises can leave it
-    wrong: short by the walk's products so far, or, in `power`, which
-    counts before it multiplies, ahead.  `mul` stays the one counted
-    single product, for code outside the walks.
+    Three walks in this module, `power`, `table_walk` and `probe_walk`,
+    plus the Banin-Tsaban oracle's own walk, call `_product` directly and
+    add their multiplications to the counter in one step per exit, so
+    inside a walk it is updated only at that exit.  Only a family whose
+    `_product` raises can leave it wrong: short by the walk's products so
+    far, or, in `power`, which counts before it multiplies, ahead.  `mul`
+    stays the one counted single product, for code outside the walks.
     """
 
     family: str = "abstract"
@@ -137,6 +138,43 @@ def power(ctx: SemigroupContext, x, e: int):
         if not k:
             return result
         base = prod(base, base)
+
+
+def table_walk(ctx: SemigroupContext, start, step, n: int):
+    """Tabulate start*step^k -> k for k = 0..n up to the first repeated
+    value; returns (table, last value, repeat).  `repeat` is (k1, k2) for
+    the least k2 with start*step^k2 = start*step^k1, k1 < k2, else None;
+    the table keeps first indices.  Adds the products made, k2 or n, to
+    the counter once, at the exit.
+    """
+    prod = ctx._product
+    table = {start: 0}
+    cur = start
+    for k in range(1, n + 1):
+        cur = prod(cur, step)
+        first = table.setdefault(cur, k)
+        if first != k:
+            ctx.mult_count += k
+            return table, cur, (first, k)
+    ctx.mult_count += max(n, 0)
+    return table, cur, None
+
+
+def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
+    """First i in 1..n (n >= 1) with cur*step^(i-1) in `table`, as
+    (i, table value), or None.  Adds the products made, i - 1 or n - 1, to
+    the counter once, at the exit.
+    """
+    prod = ctx._product
+    for i in range(1, n + 1):
+        if i > 1:
+            cur = prod(cur, step)
+        value = table.get(cur)
+        if value is not None:
+            ctx.mult_count += i - 1
+            return i, value
+    ctx.mult_count += n - 1
+    return None
 
 
 def canonical_key(ctx: SemigroupContext, a) -> bytes:

@@ -32,6 +32,8 @@ from .core import (
     SemigroupError,
     Trace,
     power,
+    probe_walk,
+    table_walk,
 )
 from .numtheory import (
     ceil_sqrt,
@@ -48,27 +50,18 @@ _DOUBLING_CAP = 1 << 62
 
 def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> CycleStructure:
     """Exact cycle structure by iterating x, x^2, ... until the first
-    repeated value.
-
-    The first repeated value, seen at exponent b with an earlier
-    occurrence at a, gives cycle start a and cycle length b - a.  Raises
-    when no repeat shows up within `cap` steps (element not torsion within
-    cap).
+    repeated value: seen at exponent b with an earlier occurrence at a, it
+    gives cycle start a and cycle length b - a.  Raises when no repeat
+    shows up within `cap` steps (element not torsion within cap).
     """
     ctx.validate(x)
-    prod = ctx._product
-    seen = {}
-    cur = x
-    for exp in range(1, cap + 1):
-        prior = seen.get(cur)
-        if prior is not None:
-            ctx.mult_count += exp - 1
-            return CycleStructure(prior, exp - prior)
-        seen[cur] = exp
-        cur = prod(cur, x)
-    ctx.mult_count += max(cap, 0)
-    raise SemigroupError(f"no repeated power within {cap} steps; "
-                         "element may not be torsion")
+    # the walk's index k stands for the exponent k + 1, so it checks 1..cap
+    _, _, repeat = table_walk(ctx, x, x, cap - 1)
+    if repeat is None:
+        raise SemigroupError(f"no repeated power within {cap} steps; "
+                             "element may not be torsion")
+    k1, k2 = repeat
+    return CycleStructure(k1 + 1, k2 - k1)
 
 
 def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
@@ -103,7 +96,10 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
 
 @dataclass(frozen=True)
 class Alg4Round(Trace):
-    """One round of the deterministic algorithm, at one bound."""
+    """One round of the deterministic algorithm, at one bound.  When the
+    baby walk repeats, at step `baby_hit` after step k1 (0 for a return to
+    x^N, above 0 for a repeat that began before the cycle start),
+    `candidate` = baby_hit - k1 is accepted and `table_size` = baby_hit."""
 
     bound: int
     stride: int
@@ -132,10 +128,10 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     """One baby/giant round at the given bound.
 
     Baby phase: walk x^N, x^(N+1), ..., x^(N+q) with q = ceil(sqrt(N)),
-    comparing each against x^N (a hit at step j means the cycle length is
-    exactly j, since equal powers at distinct exponents certify both lie
-    in the cycle).  The powers x^(N+j) for j < q form the lookup table,
-    keyed by the element; a value met twice keeps its largest j.
+    stopping at the first repeated value.  The first repeat of consecutive
+    powers spans exactly one cycle, so a repeat x^(N+k1) = x^(N+k2) gives
+    the cycle length k2 - k1.  Without one, the powers x^(N+j) for j < q
+    form the lookup table, keyed by the element.
 
     Giant phase: probe x^(N+iq) for i = 1..q against the table.  A match
     at minimal i yields candidate iq - j, which is provably the cycle
@@ -147,36 +143,19 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     """
     q = ceil_sqrt(bound)
     base = power(ctx, x, bound)
-    prod = ctx._product
-    table = {base: 0}
-    cur = base
-    for j in range(1, q + 1):
-        cur = prod(cur, x)
-        if cur == base:
-            ctx.mult_count += j
-            # x^N .. x^(N+j-1) were tabulated
-            rec = Alg4Round(bound, q, j, None, j, True, j)
-            return j, rec
-        if j < q:
-            table[cur] = j
-    ctx.mult_count += q
+    table, last, repeat = table_walk(ctx, base, x, q)
+    if repeat is not None:
+        k1, k2 = repeat
+        return k2 - k1, Alg4Round(bound, q, k2, None, k2 - k1, True, k2)
+    del table[last]  # x^(N+q) is the first giant probe, not a table entry
 
-    step = power(ctx, x, q)
-    probe = cur  # x^(N+q), the i = 1 giant value
-    for i in range(1, q + 1):
-        if i > 1:
-            probe = prod(probe, step)
-        j = table.get(probe)
-        if j is not None:
-            break
-    else:
-        ctx.mult_count += q - 1
+    hit = probe_walk(ctx, table, last, power(ctx, x, q), q)
+    if hit is None:
         return None, Alg4Round(bound, q, None, None, None, False, q)
-    ctx.mult_count += i - 1
-    candidate = i * q - j
+    candidate = hit[0] * q - hit[1]
     accepted = ctx.mul(power(ctx, x, candidate), base) == base
-    rec = Alg4Round(bound, q, None, (i, j), candidate, accepted, q)
-    return (candidate if accepted else None), rec
+    return (candidate if accepted else None), Alg4Round(
+        bound, q, None, hit, candidate, accepted, q)
 
 
 def deterministic_cycle_length(ctx: SemigroupContext, x,
@@ -316,18 +295,8 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
     # repeat spans one period P = L/gcd(L, m) of the index, as in-cycle
     # entries repeat exactly every P steps and earlier ones never, and it
     # is all the round reads, so the walk stops there
-    cur = power(ctx, x, q)
-    step = power(ctx, x, m)
-    prod = ctx._product
-    table = {cur: 0}
-    duplicate = None
-    for i in range(1, m + 1):
-        cur = prod(cur, step)
-        first = table.setdefault(cur, i)
-        if first != i:
-            duplicate = (first, i)
-            break
-    ctx.mult_count += i
+    table, _, duplicate = table_walk(ctx, power(ctx, x, q), power(ctx, x, m),
+                                     m)
 
     # strip at an exponent the collision certifies to lie in the cycle
     # (the smaller of two with equal powers): at a pre-cycle exponent no
@@ -338,26 +307,16 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
         g = (i2 - i1) * m
         anchor = q + i1 * m
     else:
-        def least_shift(offset_exp):
-            # smallest b in [1, m] with x^(offset_exp + b) in the table;
-            # b = m does occur: consecutive table residues can sit exactly
-            # m apart, so the open window [1, m) is not always enough
-            cur = power(ctx, x, offset_exp)
-            for b in range(1, m + 1):
-                cur = prod(cur, x)
-                i = table.get(cur)
-                if i is not None:
-                    ctx.mult_count += b
-                    return b, i
-            ctx.mult_count += m
-            return None, None
-
-        b1, a1 = least_shift(q)
-        if b1 is None:
-            return None
-        b2, a2 = least_shift(2 * q)
-        if b2 is None:
-            return None
+        # least b in [1, m] with x^(offset + b) in the table; b = m does
+        # occur: consecutive table residues can sit exactly m apart
+        shifts = []
+        for offset in (q, 2 * q):
+            hit = probe_walk(ctx, table, ctx.mul(power(ctx, x, offset), x),
+                             x, m)
+            if hit is None:
+                return None
+            shifts.append(hit)
+        (b1, a1), (b2, a2) = shifts
         trace.collision_one = (a1, b1)
         trace.collision_two = (a2, b2)
         g = math.gcd(abs(a1 * m - b1), abs(a2 * m - b2 - q))
@@ -425,6 +384,9 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     if bound < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
+    # its own walk, not table_walk: the table keeps every index of a value,
+    # as one index's candidate can fail the power check where another's
+    # verifies (an int-valued table cost the benchmark +8-9% peak memory)
     prod = ctx._product
     table = {target: [0]}  # element -> every j with target*h^j equal to it
     cur = target

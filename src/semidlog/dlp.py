@@ -25,6 +25,8 @@ from .core import (
     SemigroupError,
     Trace,
     power,
+    probe_walk,
+    table_walk,
 )
 from .numtheory import crt_combine, factor_integer  # noqa: F401  (re-export)
 from .numtheory import ceil_sqrt, first_true
@@ -92,10 +94,11 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
                     order: int) -> int:
     """Minimal m' in [0, order) with generator^m' = target, inverse-free.
 
-    Baby steps store target*g^j for j = 0..q (q = ceil(sqrt(order)));
+    Baby steps tabulate target*g^j for j = 0..q (q = ceil(sqrt(order)));
     giant probes are g^(iq) for i = 1..q+1.  A probe matching the baby
-    entry j gives m' = iq - j: scanning i upward and, within the first
-    matching probe, taking the largest j makes that candidate minimal.
+    entry j gives m' = iq - j, and scanning i upward makes the first match
+    minimal: in a group of this order the baby values are distinct, except
+    for order <= 2, where the walk wraps round to the target and stops.
     m' = 0 is the target-equals-identity case, checked upfront since no
     zeroth power exists.  Costs at most 2q + O(log order) multiplications
     and stores q + 1 table entries.
@@ -107,26 +110,12 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     if target == gv.identity:
         return 0
     q = ceil_sqrt(order)
-    prod = ctx._product
-    baby = {target: 0}
-    cur = target
-    for j in range(1, q + 1):
-        cur = prod(cur, generator)
-        baby[cur] = j  # a repeated value keeps its largest j
-    ctx.mult_count += q
+    baby, _, _ = table_walk(ctx, target, generator, q)
     step = power(ctx, generator, q)
-    probe = step
-    for i in range(1, q + 2):
-        if i > 1:
-            probe = prod(probe, step)
-        j = baby.get(probe)
-        if j is not None:
-            m = (i * q - j) % order
-            if m:
-                ctx.mult_count += i - 1
-                return m
-    ctx.mult_count += q
-    raise NoSolutionError("target is not in the subgroup generated by the base")
+    hit = probe_walk(ctx, baby, step, step, q + 1)
+    if hit is None:
+        raise NoSolutionError("target is not in the subgroup generated by the base")
+    return (hit[0] * q - hit[1]) % order
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from semidlog import SemigroupError
+from semidlog import DomainError, SemigroupError
 from semidlog.bench import (
     records_to_csv,
     records_to_jsonl,
@@ -66,3 +66,10 @@ def test_sweep_rejects_unknown_family():
     for sizes in ([8], []):
         with pytest.raises(SemigroupError, match="unknown bench family"):
             run_sweep("nope", "deterministic", sizes)
+
+
+@pytest.mark.parametrize("sizes, trials", [([0], 1), ([8, -3], 1), ([8], 0),
+                                           ([], -1)])
+def test_sweep_rejects_sizes_and_trials_below_one(sizes, trials):
+    with pytest.raises(DomainError, match="sizes and trials must be >= 1"):
+        run_sweep("monogenic", "deterministic", sizes, trials=trials)

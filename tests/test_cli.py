@@ -204,7 +204,8 @@ def test_cycle_monico_huge_bound_stops_at_first_duplicate():
     out = subprocess.run(
         [sys.executable, "-m", "semidlog.cli", "cycle", "--alg", "monico",
          "--bound", str(10 ** 20), ZMOD2], capture_output=True, text=True,
-        env={"PATH": "", "PYTHONPATH": package_root}, timeout=30)
+        env={"PATH": "", "PYTHONPATH": package_root,
+             "PYTHONDONTWRITEBYTECODE": "1"}, timeout=30)
     assert out.returncode == 0, out.stderr
     assert "cycle_start=2 cycle_length=20" in out.stdout
 
@@ -221,7 +222,8 @@ def test_cycle_brute_past_cap_exits_3():
     out = subprocess.run(
         [sys.executable, "-m", "semidlog.cli", "cycle", "--alg", "brute",
          spec], capture_output=True, text=True,
-        env={"PATH": "", "PYTHONPATH": package_root})
+        env={"PATH": "", "PYTHONPATH": package_root,
+             "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.returncode == 3, out.stderr
     assert out.stderr == (f"error: no repeated power within "
                           f"{BRUTE_FORCE_CAP} steps; element may not be "
@@ -411,7 +413,8 @@ def test_env_seed_override(tmp_path):
     out1 = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={"SEMIDLOG_SEED": "99", "PATH": "",
-                               "PYTHONPATH": package_root})
+                               "PYTHONPATH": package_root,
+                               "PYTHONDONTWRITEBYTECODE": "1"})
     assert out1.returncode == 0, out1.stderr
     doc = json.loads(out1.stdout)
     assert doc["seed"] == 99

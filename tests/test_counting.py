@@ -1,9 +1,11 @@
 """The multiplication counter equals the products actually made.
 
-The walks call a family's raw `_product` and add their multiplications to
-`ctx.mult_count` in bulk, once per exit.  Each test here shadows
-`ctx._product` with an instance attribute that counts its own calls, runs
-one public route to its end (a normal return or a documented raise) and
+Only the bulk walks call a family's raw `_product`: `power`, the
+collision-table walks `table_walk` and `probe_walk` in `core`, and the
+Banin-Tsaban oracle's own walk.  Each adds its multiplications to
+`ctx.mult_count` once per exit.  Each test here shadows `ctx._product`
+with an instance attribute that counts its own calls, runs one public
+route or one walk to its end (a normal return or a documented raise) and
 checks that the counter moved by exactly the number of raw calls.
 """
 
@@ -30,6 +32,7 @@ from semidlog import (
     power,
     semigroup_dlog,
 )
+from semidlog.core import probe_walk, table_walk
 
 # one base per family, plus an element of the same instance that is not a
 # power of it; every order is above 6 (see the oracle route) and every
@@ -185,6 +188,46 @@ def test_counter_equals_raw_products(family, route):
     ROUTES[route](ctx, x, cyc, other)
     assert calls[0] > 0
     assert ctx.mult_count == calls[0]
+
+
+# x = 1 in MonogenicContext(3, 4): x^k is the integer k up to the order 6,
+# after which x^7 = x^3; (start, step, n, repeat, products) per walk
+TABLE_WALKS = {
+    "repeat-at-first-step": (6, 4, 5, (0, 1), 1),   # x^10 = x^6
+    "repeat-mid-walk": (1, 1, 10, (2, 6), 6),       # x^7 = x^3
+    "no-repeat": (1, 1, 4, None, 4),
+    "n-zero": (2, 1, 0, None, 0),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_WALKS)
+def test_table_walk_counter_equals_raw_products(case):
+    start, step, n, repeat, products = TABLE_WALKS[case]
+    ctx = MonogenicContext(3, 4)
+    calls = _count_raw_products(ctx)
+    table, last, got = table_walk(ctx, start, step, n)
+    assert got == repeat
+    assert ctx.mult_count == calls[0] == products
+    assert len(table) == (repeat[1] if repeat else n + 1)
+    assert table[last] == (repeat[0] if repeat else n)
+
+
+# probes x^cur, x^(cur+step), ... against the table {x^4: 0, x^5: 1};
+# (cur, step, n, hit, products) per walk
+PROBE_WALKS = {
+    "hit-at-first-probe": (5, 1, 3, (1, 1), 0),
+    "hit-at-last-probe": (1, 1, 4, (4, 0), 3),
+    "miss": (1, 2, 2, None, 1),
+}
+
+
+@pytest.mark.parametrize("case", PROBE_WALKS)
+def test_probe_walk_counter_equals_raw_products(case):
+    cur, step, n, hit, products = PROBE_WALKS[case]
+    ctx = MonogenicContext(3, 4)
+    calls = _count_raw_products(ctx)
+    assert probe_walk(ctx, {4: 0, 5: 1}, cur, step, n) == hit
+    assert ctx.mult_count == calls[0] == products
 
 
 @pytest.mark.parametrize("s, length", [(1, 1), (1, 2), (1, 9), (2, 1),

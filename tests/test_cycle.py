@@ -214,6 +214,25 @@ def test_deterministic_known_bound_too_small_raises():
         deterministic_cycle_length(ctx, 1, known_bound=16)
 
 
+def test_deterministic_accepts_a_baby_repeat_before_the_cycle_start():
+    # s = 17, L = 3: at bound 16 (q = 4) the baby walk x^16 .. x^20 starts
+    # one step before the cycle and first repeats at x^20 = x^17, which
+    # spans exactly one cycle
+    ctx = MonogenicContext(17, 3)
+    length, trace = deterministic_cycle_length(ctx, 1, known_bound=16)
+    assert length == 3
+    assert ctx.mult_count == trace.multiplications == 8  # x^16: 4, walk: 4
+    (rec,) = trace.rounds
+    assert (rec.baby_hit, rec.giant_hit, rec.candidate, rec.accepted,
+            rec.table_size) == (4, None, 3, True, 4)
+
+    ctx = MonogenicContext(17, 3)
+    length, trace = deterministic_cycle_length(ctx, 1)
+    assert length == 3
+    assert [r.bound for r in trace.rounds] == [1, 4, 16]
+    assert trace.multiplications == 15
+
+
 def test_deterministic_table_sizes_respect_sqrt_bound():
     ctx = ZModContext(257)
     _, trace = deterministic_cycle_length(ctx, 3)
