@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import DomainError, SemigroupError
+from .core import DomainError, SemigroupError, check_int
 from .cycle import brute_force_cycle, find_cycle
 from .instances import FAMILIES, make_context, random_element
 
@@ -62,7 +62,13 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
               modulus: int = 5, check_oracle: bool = True) -> list:
     if family not in FAMILIES:
         raise SemigroupError(f"unknown bench family {family!r}")
-    sizes = list(sizes)
+    try:
+        sizes = list(sizes)
+    except TypeError:
+        raise DomainError("bench sizes must be an iterable of integers, "
+                          f"got {sizes!r}") from None
+    for value in (trials, seed, *sizes):
+        check_int(value, "each bench size, trial count and seed")
     if trials < 1 or min(sizes, default=1) < 1:
         raise DomainError("bench sizes and trials must be >= 1")
     records = []

@@ -43,6 +43,17 @@ class DomainError(SemigroupError, ValueError):
     ValueError, so callers that catch ValueError keep working."""
 
 
+def check_int(value, name: str) -> int:
+    """`value` if it is an integer (a bool is not one), else DomainError.
+
+    The type check on the public functions' integer arguments; each
+    keeps its own range check and message.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class SemigroupContext(ABC):
     """A concrete semigroup instance plus its multiplication counter.
 
@@ -178,8 +189,11 @@ def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
 
 
 def canonical_key(ctx: SemigroupContext, a) -> bytes:
-    """Canonical byte key of `a`; key equality is element equality."""
-    return ctx.key(a)
+    """Canonical byte key of `a`; key equality is element equality.
+
+    Raises IncompatibleElementError when `a` does not belong to `ctx`.
+    """
+    return ctx.key(ctx.validate(a))
 
 
 @dataclass(frozen=True)
@@ -196,6 +210,9 @@ class CycleStructure:
     order: int = 0
 
     def __post_init__(self):
+        check_int(self.cycle_start, "cycle start")
+        check_int(self.cycle_length, "cycle length")
+        check_int(self.order, "order")
         if self.cycle_start < 1 or self.cycle_length < 1:
             raise DomainError("cycle start and cycle length must be >= 1")
         expected = self.cycle_start + self.cycle_length - 1

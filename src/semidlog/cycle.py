@@ -31,6 +31,7 @@ from .core import (
     SemigroupContext,
     SemigroupError,
     Trace,
+    check_int,
     power,
     probe_walk,
     table_walk,
@@ -55,6 +56,7 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     shows up within `cap` steps (element not torsion within cap).
     """
     ctx.validate(x)
+    check_int(cap, "cap")
     # the walk's index k stands for the exponent k + 1, so it checks 1..cap
     _, _, repeat = table_walk(ctx, x, x, cap - 1)
     if repeat is None:
@@ -169,7 +171,7 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     find a collision raises instead of growing the bound.
     """
     ctx.validate(x)
-    if known_bound is not None and known_bound < 1:
+    if known_bound is not None and check_int(known_bound, "known_bound") < 1:
         raise SemigroupError("known_bound must be >= 1")
     trace = Alg4Trace()
 
@@ -196,7 +198,7 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     the predicate never holds.
     """
     ctx.validate(x)
-    if cycle_length < 1:
+    if check_int(cycle_length, "cycle_length") < 1:
         raise SemigroupError("cycle_length must be >= 1")
     step = power(ctx, x, cycle_length)
 
@@ -270,7 +272,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     bound are never removed and the result can stay a proper multiple.
     """
     ctx.validate(x)
-    if g < 1:
+    if check_int(g, "g") < 1:
         raise SemigroupError("g must be >= 1")
     base = power(ctx, x, anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):
@@ -352,9 +354,9 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     """
     del seed
     ctx.validate(x)
-    if divisor_bound < 2:
+    if check_int(divisor_bound, "divisor_bound") < 2:
         raise SemigroupError("divisor_bound must be >= 2")
-    if bound is not None and bound < 1:
+    if bound is not None and check_int(bound, "bound") < 1:
         raise SemigroupError("bound must be >= 1")
     trace = MonicoTrace(divisor_bound=divisor_bound)
     return _doubling_search(
@@ -381,7 +383,7 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     """
     ctx.validate(h)
     ctx.validate(target)
-    if bound < 1:
+    if check_int(bound, "oracle bound") < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
     # its own walk, not table_walk: the table keeps every index of a value,
@@ -500,11 +502,12 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     Outer rounds default to ceil(log2 log2 bound) + 1.
     """
     ctx.validate(x)
-    if bound < 2:
+    if check_int(bound, "bound") < 2:
         raise SemigroupError("bound must be >= 2")
-    if inner_rounds < 1:
+    if check_int(inner_rounds, "inner_rounds") < 1:
         raise SemigroupError("inner_rounds must be >= 1")
-    if outer_rounds is not None and outer_rounds < 1:
+    if outer_rounds is not None and check_int(outer_rounds,
+                                              "outer_rounds") < 1:
         raise SemigroupError("outer_rounds must be >= 1")
     rng = random.Random(seed)
     trace = BaninTrace()

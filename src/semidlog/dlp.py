@@ -3,12 +3,18 @@
 Once the cycle structure (s, L) of the base x is known, the powers
 {x^s, ..., x^(s+L-1)} form a cyclic group whose identity is x^(tL) with
 t = ceil(s/L) and whose generator is x' = x^(tL+1).  GroupView packages
-that data.  Both solvers reduce the semigroup problem to one binary search
-plus one discrete log in the group, taken over a split of L:
-semigroup_dlog uses [(L, 1)], a single BSGS run, and pohlig_hellman_dlog
-the prime factorization of L, with base-p digits per prime power.  Both
-return the complete solution set: a unique exponent below the cycle
-start, or an arithmetic progression with period L.
+that data.  Both solvers share one reduction along the rho shape.  A
+target y with y*x^L != y lies off the cycle, so only a unique m < s can
+solve it: a walk over x, ..., x^(s-1) settles it when s - 1 <=
+ceil(sqrt(L)) and the walk costs no more than the group log it replaces.
+Any other target is shifted into the group by one binary search, and a
+shifted target y' with y'^L != x^(tL) is no group element (Lagrange), so
+no power, at a cost of O(log L).  What remains is one discrete log in the
+group, taken over a split of L: semigroup_dlog uses [(L, 1)], a single
+BSGS run, and pohlig_hellman_dlog the prime factorization of L, with
+base-p digits per prime power.  Both return the complete solution set: a
+unique exponent below the cycle start, or an arithmetic progression with
+period L.
 
 Integer factorization and CRT support live in `numtheory` and are
 re-exported here for convenience.
@@ -20,10 +26,12 @@ from dataclasses import dataclass, field
 
 from .core import (
     CycleStructure,
+    DomainError,
     NoSolutionError,
     SemigroupContext,
     SemigroupError,
     Trace,
+    check_int,
     power,
     probe_walk,
     table_walk,
@@ -37,8 +45,9 @@ class GroupView:
     """The cyclic group hiding inside the power sequence of x.
 
     `identity` is x^(tL), `generator` is x' = x^(tL+1), and `cycle_power`
-    caches x^L for the one-multiplication membership test
-    y in G_x  <=>  y * x^L = y.
+    caches x^L for the one-multiplication membership test y * x^L = y.
+    Every group element passes it and no power x^m with m < s does; an
+    element outside <x> may pass it too.
     """
 
     base: object
@@ -49,10 +58,16 @@ class GroupView:
     cycle_power: object
 
 
+def _check_cycle(cycle) -> CycleStructure:
+    if not isinstance(cycle, CycleStructure):
+        raise DomainError(f"cycle must be a CycleStructure, got {cycle!r}")
+    return cycle
+
+
 def make_group_view(ctx: SemigroupContext, x,
                     cycle: CycleStructure) -> GroupView:
     ctx.validate(x)
-    s, length = cycle.cycle_start, cycle.cycle_length
+    s, length = _check_cycle(cycle).cycle_start, cycle.cycle_length
     t = -(-s // length)
     identity = power(ctx, x, t * length)
     generator = ctx.mul(identity, x)  # x^(tL+1)
@@ -83,7 +98,7 @@ def inverse_in_group(ctx: SemigroupContext, gv: GroupView, n: int):
     the group and multiplies with x^n to the identity x^(tL).
     """
     s, length = gv.cycle.cycle_start, gv.cycle.cycle_length
-    if n < s:
+    if check_int(n, "n") < s:
         raise SemigroupError(
             f"x^{n} lies before the cycle start {s} and has no inverse")
     v = -(-(s + n) // length)
@@ -94,28 +109,29 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
                     order: int) -> int:
     """Minimal m' in [0, order) with generator^m' = target, inverse-free.
 
-    Baby steps tabulate target*g^j for j = 0..q (q = ceil(sqrt(order)));
-    giant probes are g^(iq) for i = 1..q+1.  A probe matching the baby
-    entry j gives m' = iq - j, and scanning i upward makes the first match
-    minimal: in a group of this order the baby values are distinct, except
-    for order <= 2, where the walk wraps round to the target and stops.
+    Baby steps tabulate target*g^j for j = 0..b, with b = ceil(q/2) and
+    q = ceil(sqrt(order)); giant probes are g^(ib) for i = 1..n, with
+    n = ceil(order/b) + 1.  A probe matching the baby entry j gives
+    m' = ib - j, and scanning i upward makes the first match minimal: the
+    b + 1 <= order baby values of a group of this order are distinct.
     m' = 0 is the target-equals-identity case, checked upfront since no
-    zeroth power exists.  Costs at most 2q + O(log order) multiplications
-    and stores q + 1 table entries.
+    zeroth power exists.  A uniform m' costs 3q/2 + O(log order)
+    multiplications on average, as with q baby steps, and at most
+    5q/2 + O(log order); the table holds b + 1 entries, half of q + 1.
     """
     ctx.validate(generator)
     ctx.validate(target)
-    if order < 1:
+    if check_int(order, "order") < 1:
         raise SemigroupError("order must be >= 1")
     if target == gv.identity:
         return 0
-    q = ceil_sqrt(order)
-    baby, _, _ = table_walk(ctx, target, generator, q)
-    step = power(ctx, generator, q)
-    hit = probe_walk(ctx, baby, step, step, q + 1)
+    b = (ceil_sqrt(order) + 1) // 2
+    baby, _, _ = table_walk(ctx, target, generator, b)
+    step = power(ctx, generator, b)
+    hit = probe_walk(ctx, baby, step, step, -(-order // b) + 1)
     if hit is None:
         raise NoSolutionError("target is not in the subgroup generated by the base")
-    return (hit[0] * q - hit[1]) % order
+    return (hit[0] * b - hit[1]) % order
 
 
 @dataclass(frozen=True)
@@ -148,9 +164,9 @@ class DlogSolution:
 
 def solution_set(raw_m: int, cycle: CycleStructure) -> DlogSolution:
     """Normalize one known solution exponent into the full solution set."""
-    if raw_m < 1:
+    if check_int(raw_m, "solution exponent") < 1:
         raise SemigroupError("solution exponent must be >= 1")
-    s, length = cycle.cycle_start, cycle.cycle_length
+    s, length = _check_cycle(cycle).cycle_start, cycle.cycle_length
     if raw_m < s:
         return DlogSolution("unique", raw_m)
     return DlogSolution("progression", s + (raw_m - s) % length, length)
@@ -158,10 +174,18 @@ def solution_set(raw_m: int, cycle: CycleStructure) -> DlogSolution:
 
 @dataclass
 class DlogTrace(Trace):
-    b: int = 0
-    m_prime: int = 0
-    m_prime_effective: int = 0
-    c: int = 0
+    """How the reduction reached its answer `raw`, a solution exponent.
+
+    A group-log answer sets every field: raw = (tL+1)m'_eff - (b+c)L.  A
+    tail answer (an off-cycle target found by the walk over x, ...,
+    x^(s-1)) has raw = m and leaves b, m_prime, m_prime_effective and c
+    None; a Pohlig-Hellman trace then has no prime records.
+    """
+
+    b: int | None = None
+    m_prime: int | None = None
+    m_prime_effective: int | None = None
+    c: int | None = None
     raw: int = 0
 
 
@@ -179,15 +203,14 @@ class PohligHellmanTrace(DlogTrace):
 
 
 def _shift_into_group(ctx, gv, y):
-    """Minimal b in [0, t] with y*x^(bL) in the group, plus that product.
+    """Minimal b in [1, t] with y*x^(bL) in the group, plus that product,
+    for a y outside the group.
 
     The predicate is monotone in b (the shift pushes the implicit exponent
     of y past the cycle start); its failure at b = t means y is not a
     power of the base at all.  A group element g has g*x^L = g, so every
     shift that enters the group yields the same product y*x^(tL).
     """
-    if _in_group(ctx, gv, y):
-        return 0, y
     t, length = gv.t, gv.cycle.cycle_length
     x = gv.base
 
@@ -237,23 +260,46 @@ def _group_log(ctx, gv, y_prime, factorization, records):
 def _solve(ctx, x, y, cycle, factorization, trace, records):
     """The reduction shared by both solvers.
 
-    Shift y into the group (binary search for b), then take m' = log of
-    y' to the base x' over the parts of `factorization` (see _group_log).
-    With A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
+    A y with y*x^L != y is off the cycle, so only a unique m < s can
+    solve it.  The walk x, ..., x^(s-1) finds it or proves there is none
+    when s - 1 <= ceil(sqrt(L)), the baby steps of a one-part split, and
+    s - 1 <= the sum over the split's (p, e) of e * (ceil(sqrt(p)) +
+    2 * bit_length(L)), what its digits spend at least on baby steps and
+    powers; so it never costs more than the group log it replaces.
+    Otherwise shift y into the group (binary search for b) and
+    reject a y' with y'^L != x^(tL), which no group element is, in about
+    2 log2 L multiplications.  Then take m' = log of y' to the base x'
+    over the parts of `factorization` (see _group_log).  With
+    A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
     c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills in
     `trace` and returns (DlogSolution, trace).
     """
     ctx.validate(y)
     gv = make_group_view(ctx, x, cycle)  # validates x
-    b, y_prime = _shift_into_group(ctx, gv, y)
-    length = cycle.cycle_length
+    s, length = cycle.cycle_start, cycle.cycle_length
+    if _in_group(ctx, gv, y):
+        b, y_prime = 0, y
+    elif s - 1 <= min(ceil_sqrt(length), sum(
+            e * (ceil_sqrt(p) + 2 * length.bit_length())
+            for p, e in factorization)):
+        hit = probe_walk(ctx, {y: 0}, x, x, s - 1) if s > 1 else None
+        if hit is None:
+            raise NoSolutionError("y is off the cycle and no power x^m "
+                                  "with m < s equals it")
+        trace.raw = hit[0]
+        return solution_set(hit[0], cycle), trace
+    else:
+        b, y_prime = _shift_into_group(ctx, gv, y)
+    if power(ctx, y_prime, length) != gv.identity:
+        raise NoSolutionError("y*x^(bL) fails y'^L = x^(tL), so it is not "
+                              "in the group; y is not a power of the base")
     m_prime = _group_log(ctx, gv, y_prime, factorization, records)
     m_eff = m_prime if m_prime else length  # no x^0: identity is (x')^L
     a = (gv.t * length + 1) * m_eff
-    c = (a - cycle.cycle_start) // length
+    c = (a - s) // length
     raw = a - (b + c) * length
-    # a y outside <x> can still shift into the group; the power check
-    # catches whatever the collision searches let through
+    # a y outside <x> can still pass both membership tests; the power
+    # check catches whatever the collision searches let through
     if raw < 1 or power(ctx, x, raw) != y:
         raise NoSolutionError("y is not a power of the base")
     trace.b, trace.m_prime, trace.m_prime_effective = b, m_prime, m_eff
@@ -266,11 +312,14 @@ def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
 
     One inverse-free BSGS for m' inside the group (the one-part split
     [(L, 1)] of the shared reduction), after one binary search of
-    O((log N)^2) multiplications.  Returns (DlogSolution, DlogTrace);
-    raises NoSolutionError when y is not a power of x.
+    O((log N)^2) multiplications.  An off-cycle target with
+    s - 1 <= ceil(sqrt(L)) costs O(min(s, sqrt(L))) after the group view
+    instead, and a shifted target outside the group exits after O(log L).
+    Returns (DlogSolution, DlogTrace); raises NoSolutionError when y is
+    not a power of x.
     """
-    return _solve(ctx, x, y, cycle, [(cycle.cycle_length, 1)], DlogTrace(),
-                  [])
+    return _solve(ctx, x, y, cycle, [(_check_cycle(cycle).cycle_length, 1)],
+                  DlogTrace(), [])
 
 
 def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
@@ -279,11 +328,14 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     The reduction of semigroup_dlog over the prime factorization of L:
     BSGS runs in the order-p subgroups (at most ceil(sqrt(p)) + 1 table
     entries each) take the base-p digits of each p^e, and the CRT joins
-    the residues, so both solvers return identical solution sets.  Raises
-    SemigroupError when L cannot be factored.
+    the residues, so both solvers return identical solution sets.  The
+    same O(log L) non-member exit runs before any digit, and the tail walk
+    only where it is cheaper than the digits: s - 1 <= ceil(sqrt(L)) and
+    s - 1 <= sum of e * (ceil(sqrt(p)) + 2 * bit_length(L)).
+    Raises SemigroupError when L cannot be factored.
     """
     try:
-        factorization = factor_integer(cycle.cycle_length)
+        factorization = factor_integer(_check_cycle(cycle).cycle_length)
     except ValueError as exc:
         raise SemigroupError(
             f"cannot factor the cycle length: {exc}") from None

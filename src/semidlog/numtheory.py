@@ -11,7 +11,7 @@ import math
 import random
 from itertools import accumulate, chain, cycle
 
-from .core import DomainError
+from .core import DomainError, check_int
 
 # Miller-Rabin with the first 13 prime bases is deterministic below
 # psi_13, the least strong pseudoprime to all of them (Sorenson and
@@ -134,7 +134,7 @@ def factor_integer(n: int) -> list:
     restarts on whatever composite cofactor survives; every reported prime
     is certified by the deterministic Miller-Rabin test.
     """
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise DomainError("factor_integer requires n >= 1")
     if n >= 1 << 63:
         raise DomainError("factor_integer supports n < 2^63")
@@ -196,7 +196,8 @@ def crt_combine(residues) -> int:
     """
     x, mod = 0, 1
     for r, m in residues:
-        if m < 1:
+        check_int(r, "residue")
+        if check_int(m, "modulus") < 1:
             raise DomainError("moduli must be positive")
         g = math.gcd(mod, m)
         if g != 1:

@@ -73,3 +73,13 @@ def test_sweep_rejects_unknown_family():
 def test_sweep_rejects_sizes_and_trials_below_one(sizes, trials):
     with pytest.raises(DomainError, match="sizes and trials must be >= 1"):
         run_sweep("monogenic", "deterministic", sizes, trials=trials)
+
+
+# a float size used to reach make_context and fail about `modulus`
+@pytest.mark.parametrize("sizes, trials, seed", [
+    (["8"], 1, 0), ([8.5], 1, 0), ([True], 1, 0), ([8], "2", 0),
+    ([8], 2.0, 0), ([8], True, 0), ([8], 1, "x"), (8, 1, 0)])
+def test_sweep_rejects_non_integer_sizes_trials_and_seed(sizes, trials,
+                                                         seed):
+    with pytest.raises(DomainError, match="integer"):
+        run_sweep("zmod", "deterministic", sizes, trials=trials, seed=seed)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from semidlog import (
     factor_integer,
     in_group,
     inverse_in_group,
+    make_context,
     make_group_view,
     multiply,
     pohlig_hellman_dlog,
@@ -182,7 +184,8 @@ def test_bsgs_no_collision_raises():
 
 def test_bsgs_minimal_exponent_exhaustive():
     # brute scan over the whole group confirms minimality for every target
-    for s, length in [(2, 20), (1, 36), (7, 13), (4, 1)]:
+    for s, length in [(2, 20), (1, 36), (7, 13), (4, 1), (1, 2), (3, 3),
+                      (1, 5), (2, 99)]:
         ctx = MonogenicContext(s, length)
         cyc = CycleStructure(s, length)
         gv = make_group_view(ctx, 1, cyc)
@@ -259,6 +262,102 @@ def test_dlog_not_a_power_raises():
         pohlig_hellman_dlog(ctx, 2, 3, CycleStructure(2, 20))
 
 
+def _fresh(ctx):
+    return make_context(ctx.family, ctx.describe())
+
+
+def _group_view_cost(ctx, x, cyc):
+    ref = _fresh(ctx)
+    make_group_view(ref, x, cyc)
+    return ref.mult_count
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+def test_non_member_exits_on_the_lagrange_test(solver):
+    # 4 generates the squares modulo the prime 1000003, a group of order
+    # L = 500001; the non-square 3 passes 3*4^L = 3 but 3^L != 1, so it
+    # leaves after the group view, one membership product and power(3, L)
+    # instead of a BSGS of ~1.5*sqrt(L) products
+    ctx = ZModContext(1000003)
+    cyc = CycleStructure(1, 500001)
+    view = _group_view_cost(ctx, 4, cyc)
+    with pytest.raises(NoSolutionError):
+        solver(ctx, 4, 3, cyc)
+    assert ctx.mult_count <= view + 1 + 2 * cyc.cycle_length.bit_length()
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+@pytest.mark.parametrize("ctx, x", [(MonogenicContext(10, 400), 1),
+                                    (ZModContext(1000), 2)],
+                         ids=["monogenic-10-400", "zmod-1000"])
+def test_pre_cycle_powers_are_answered_by_the_tail_walk(solver, ctx, x):
+    # s - 1 <= ceil(sqrt(L)): x^m with m < s is found by walking x, x^2,
+    # ... at m - 1 products after the view and the membership product
+    cyc = brute_force_cycle(_fresh(ctx), x)
+    s = cyc.cycle_start
+    assert s - 1 <= math.isqrt(cyc.cycle_length)
+    view = _group_view_cost(ctx, x, cyc)
+    for m in range(1, s):
+        y = power(ctx, x, m)
+        ctx.mult_count = 0
+        sol, trace = solver(ctx, x, y, cyc)
+        assert ctx.mult_count == view + 1 + (m - 1)
+        assert sol.to_json() == {"kind": "unique", "m": m}
+        tr = trace.to_json()
+        assert tr["raw"] == m
+        assert [tr[k] for k in ("b", "m_prime", "m_prime_effective", "c")] \
+            == [None] * 4
+        assert tr.get("primes", []) == []
+
+
+def test_ph_walks_the_tail_only_where_it_is_cheaper_than_the_digits():
+    # L = 2^24 gives Pohlig-Hellman 24 one-bit digits, which cost at
+    # least 24 * (ceil(sqrt(2)) + 2 * 25) = 1248: a tail of 3999 is
+    # shifted into the group instead of walked (~800 products, not
+    # ~4000), while semigroup_dlog walks it, below ceil(sqrt(L)) = 4096
+    cyc = CycleStructure(4000, 1 << 24)
+    ph, red = MonogenicContext(4000, 1 << 24), MonogenicContext(4000, 1 << 24)
+    y = power(ph, 1, 3999)
+    ph.mult_count = 0
+    sol, trace = pohlig_hellman_dlog(ph, 1, y, cyc)
+    assert sol.to_json() == {"kind": "unique", "m": 3999}
+    assert trace.b == 1 and len(trace.prime_records) == 1
+    assert ph.mult_count < 1000
+    sol, trace = semigroup_dlog(red, 1, y, cyc)
+    assert sol.to_json() == {"kind": "unique", "m": 3999}
+    assert trace.b is None
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+def test_golden_zmod_non_power_ends_in_the_tail_walk(solver):
+    # 3 * 2^100 = 128 != 3 (mod 1000): off the cycle, and x, x^2 miss it
+    ctx = ZModContext(1000)
+    cyc = CycleStructure(3, 100)
+    view = _group_view_cost(ctx, 2, cyc)
+    with pytest.raises(NoSolutionError, match="off the cycle"):
+        solver(ctx, 2, 3, cyc)
+    assert ctx.mult_count == view + 1 + 1
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+def test_non_member_passing_both_tests_falls_back(solver, monkeypatch):
+    # x = swap 1<->2 and y = swap 3<->4 on four points: y*x^2 = y and
+    # y^2 = x^2 = id, so y passes the membership and Lagrange tests, yet
+    # y is no power of x; the group log and the final power check decide
+    ctx = TransformationContext(4)
+    x, y = (1, 0, 2, 3), (0, 1, 3, 2)
+    cyc = CycleStructure(1, 2)
+    assert ctx.mul(y, power(ctx, x, 2)) == y
+    assert power(ctx, y, 2) == power(ctx, x, 2)
+    calls = []
+    bsgs = dlp.bsgs_group_dlog
+    monkeypatch.setattr(dlp, "bsgs_group_dlog",
+                        lambda *args: calls.append(args) or bsgs(*args))
+    with pytest.raises(NoSolutionError):
+        solver(ctx, x, y, cyc)
+    assert calls
+
+
 @pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
 @pytest.mark.parametrize("x, y", [(2, "a"), (2, 250), (250, 4), (2, [4])])
 def test_dlog_rejects_foreign_elements(solver, x, y):
@@ -326,10 +425,17 @@ def test_dlog_boundary_between_unique_and_progression():
             "kind": "progression", "m0": s, "period": length}
 
 
+def _is_tail_answer(cyc, m):
+    """x^m is off the cycle and the tail is short enough to walk."""
+    return m < cyc.cycle_start and \
+        cyc.cycle_start - 1 <= math.isqrt(cyc.cycle_length - 1) + 1
+
+
 def test_dlog_trace_identity_and_bounds(instance_pool):
     # solver bookkeeping: raw = m'(tL+1) - (b+c)L reproduces the true
-    # exponent, with b <= t and c <= N + 1
+    # exponent, with b <= t and c <= N + 1; a tail answer is raw = m alone
     rng = random.Random(13)
+    tail_answers = 0
     for factory, x in instance_pool[::5]:
         ctx = factory()
         cyc = brute_force_cycle(ctx, x)
@@ -338,13 +444,20 @@ def test_dlog_trace_identity_and_bounds(instance_pool):
             m = rng.randint(1, 3 * cyc.order)
             y = power(ctx, x, m)
             sol, tr = semigroup_dlog(ctx, x, y, cyc)
+            assert sol.contains(m)
+            assert power(ctx, x, sol.smallest()) == y
+            if _is_tail_answer(cyc, m):
+                tail_answers += 1
+                assert tr.raw == m
+                assert (tr.b, tr.m_prime, tr.m_prime_effective, tr.c) == \
+                    (None, None, None, None)
+                continue
             assert tr.b <= gv_t
             assert tr.c <= cyc.order + 1
             a = tr.m_prime_effective * (gv_t * cyc.cycle_length + 1)
             assert tr.c == (a - cyc.cycle_start) // cyc.cycle_length
             assert tr.raw == a - (tr.b + tr.c) * cyc.cycle_length
-            assert sol.contains(m)
-            assert power(ctx, x, sol.smallest()) == y
+    assert tail_answers > 0
 
 
 def test_dlog_round_trip_random(instance_pool):
@@ -442,7 +555,9 @@ def test_ph_squarefree_length_needs_no_inverse(monkeypatch):
         sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
         assert sol.contains(m)
         assert sol == semigroup_dlog(ctx, 1, y, cyc)[0]
-        assert [r.prime for r in trace.prime_records] == [2, 3, 5, 7, 11]
+        # m = 2 < s is a tail answer: no group log, so no prime records
+        primes = [] if m < 4 else [2, 3, 5, 7, 11]
+        assert [r.prime for r in trace.prime_records] == primes
 
 
 def test_ph_prime_power_heavy_length():

@@ -93,28 +93,53 @@ CYCLE_CASES = {
 # search for b; both changed only these counts, not answers.
 # Pohlig-Hellman computes the per-prime inverse only when e >= 2, the
 # only case with a digit k >= 1 that reads it: that lowered the matmod,
-# transformation and monogenic pohlig-hellman counts, not their answers
+# transformation and monogenic pohlig-hellman counts, not their answers.
+# Every target that reaches the group log now first passes the Lagrange
+# test y'^L = x^(tL), one power(y', L) of bit_length(L) + popcount(L) - 2
+# multiplications: +8 for L = 100, +5 for L = 18, +4 for L = 7 and +11
+# for L = 360.  An off-cycle target with s - 1 <= ceil(sqrt(L)) is
+# settled by the walk x, ..., x^(s-1) instead of the shift and group log.
+# BSGS takes b = ceil(q/2) baby steps (q = ceil(sqrt(order))), half the
+# table; the BSGS share of each count moves as noted.  Answers are
+# unchanged
 DLOG_CASES = {
+    # in-cycle: Lagrange +8; BSGS (order 100) 19 -> 19; 45 -> 53
     ("zmod", 57, "reduction"): ({"kind": "progression", "m0": 57,
-                                 "period": 100}, 45),
+                                 "period": 100}, 53),
+    # in-cycle: Lagrange +8; BSGS (orders 2, 2, 5, 5) 13 -> 7; 82 -> 84
     ("zmod", 57, "pohlig-hellman"): ({"kind": "progression", "m0": 57,
-                                      "period": 100}, 82),
-    ("zmod", None, "reduction"): (None, 42),
-    ("zmod", None, "pohlig-hellman"): (None, 87),
+                                      "period": 100}, 84),
+    # 3*x^100 != 3 puts 3 off the cycle, and s - 1 = 2 <= 10: the tail
+    # walk over x, x^2 (1 product) replaces the shift and BSGS, 42 -> 19
+    ("zmod", None, "reduction"): (None, 19),
+    # the same tail walk replaces the shift and both primes' digits,
+    # 87 -> 19
+    ("zmod", None, "pohlig-hellman"): (None, 19),
+    # in-cycle: Lagrange +5; BSGS (order 18) 9 -> 8; 25 -> 29
     ("matmod", 10, "reduction"): ({"kind": "progression", "m0": 10,
-                                   "period": 18}, 25),
+                                   "period": 18}, 29),
+    # in-cycle: Lagrange +5; BSGS (orders 2, 3, 3) 3 -> 1; 38 -> 41
     ("matmod", 10, "pohlig-hellman"): ({"kind": "progression", "m0": 10,
-                                        "period": 18}, 38),
+                                        "period": 18}, 41),
+    # in-cycle: Lagrange +4; BSGS (order 7) 5 -> 3; 19 -> 21
     ("transformation", 9, "reduction"): ({"kind": "progression", "m0": 9,
-                                          "period": 7}, 19),
+                                          "period": 7}, 21),
+    # in-cycle: Lagrange +4; BSGS (order 7) 5 -> 3; 19 -> 21
     ("transformation", 9, "pohlig-hellman"): ({"kind": "progression",
-                                               "m0": 9, "period": 7}, 19),
+                                               "m0": 9, "period": 7}, 21),
+    # in-cycle: Lagrange +11; BSGS (order 360) 39 -> 41; 73 -> 86
     ("monogenic", 1000, "reduction"): ({"kind": "progression", "m0": 280,
-                                        "period": 360}, 73),
+                                        "period": 360}, 86),
+    # in-cycle: Lagrange +11; BSGS (orders 2, 2, 2, 3, 3, 5) 3 -> 1;
+    # 111 -> 120
     ("monogenic", 1000, "pohlig-hellman"): ({"kind": "progression",
-                                             "m0": 280, "period": 360}, 111),
+                                             "m0": 280, "period": 360}, 120),
+    # off-cycle, but s - 1 = 36 > ceil(sqrt(360)) = 19, so no tail walk:
+    # the shift, then Lagrange +11; BSGS (order 360) 25 -> 14; 65 -> 65
     ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 65),
-    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 129),
+    # as above, Lagrange +11; BSGS (orders 2, 2, 2, 3, 3, 5) 12 -> 5;
+    # 129 -> 133
+    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 133),
 }
 
 SOLVERS = {"reduction": semigroup_dlog, "pohlig-hellman": pohlig_hellman_dlog}

@@ -109,11 +109,33 @@ def test_parse_errors_carry_positions():
     (TransformationContext, (256,), "$.map"),
     (MonogenicContext, (0, 4), "$.s"),
     (MonogenicContext, (3, 0), "$.L"),
+    (MatModContext, (65, 5), "$.dim"),
+    (MatModContext, (10 ** 100, 5), "$.dim"),
+    (BoolMatContext, (257,), "$.dim"),
+    (BoolMatContext, (10 ** 9,), "$.dim"),
+    (ZModContext, ("7",), "$.modulus"),
+    (MatModContext, (2.0, 5), "$.dim"),
+    (BoolMatContext, (True,), "$.dim"),
+    (TransformationContext, (3.0,), "$.degree"),
+    (MonogenicContext, (1.5, 2), "$.s"),
+    (MonogenicContext, (1, None), "$.L"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_constructors_reject_out_of_range_parameters(cls, args, where):
     with pytest.raises(ElementSpecError) as err:
         cls(*args)
     assert err.value.where == where
+
+
+def test_matrix_dimension_caps():
+    # the caps bound the constructors' precomputation (see the classes)
+    assert (MatModContext.max_dim, BoolMatContext.max_dim) == (64, 256)
+    assert BoolMatContext(256).dim == 256
+    with pytest.raises(ElementSpecError, match="dim must be <= 64"):
+        make_context("matmod", {"dim": 65, "modulus": 5})
+    rows = [[0] * 257 for _ in range(257)]
+    with pytest.raises(ElementSpecError, match="dim must be <= 256") as err:
+        parse_element_spec({"type": "boolmat", "entries": rows})
+    assert err.value.where == "$.dim"
 
 
 def test_parse_rejects_bytes_that_are_not_unicode_text():

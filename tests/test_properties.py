@@ -149,12 +149,10 @@ def _junk(integers):
         max_leaves=16)
 
 
-# a spec's dimensions are the lengths of its arrays, so its integers may
-# be of any size; make_context's `dim` sizes the context's precomputed
-# tables, and a huge one exhausts memory or time instead of raising (an
-# open fault), so its integers stay small
+# integers of any size: a spec's dimensions are the lengths of its
+# arrays, and make_context's `dim` is capped per matrix family
 _SPEC_JUNK = _junk(st.integers())
-_PARAM_JUNK = _junk(st.integers(-3, 12))
+_PARAM_JUNK = _SPEC_JUNK
 # spec-shaped documents: a type tag and some of the known fields
 _SPEC = st.builds(lambda tag, rest: {"type": tag, **rest},
                   st.sampled_from(FAMILIES) | _SPEC_JUNK,
