@@ -13,7 +13,8 @@ hashable value, so `==` and `hash` are element equality: collision tables
 are plain dicts keyed by the element, and equality tests compare elements
 directly.  The byte key is the stable serialization format only (golden
 encodings, output); no algorithm needs it.  Besides `power`, the module
-holds the collision-table primitive, `table_walk` and `probe_walk`.
+holds `Powers`, the fixed-base ladder for many powers of one base, and
+the collision-table primitive, `table_walk` and `probe_walk`.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ class SemigroupContext(ABC):
     share one context across threads that multiply concurrently.
 
     `mult_count` is exact whenever a public function returns or raises.
-    Three walks in this module, `power`, `table_walk` and `probe_walk`,
-    plus the Banin-Tsaban oracle's own walk, call `_product` directly and
-    add their multiplications to the counter in one step per exit, so
-    inside a walk it is updated only at that exit.  Only a family whose
-    `_product` raises can leave it wrong: short by the walk's products so
-    far, or, in `power`, which counts before it multiplies, ahead.  `mul`
-    stays the one counted single product, for code outside the walks.
+    The bulk counters in this module, `power`, the fixed-base ladder
+    `Powers`, `table_walk` and `probe_walk`, plus the Banin-Tsaban
+    oracle's own walk, call `_product` directly and add their
+    multiplications to the counter in one step per exit, so inside one it
+    is updated only at that exit.  Only a family whose `_product` raises
+    can leave it wrong: short by the products made so far, or, in
+    `power`, which counts before it multiplies, ahead.  `mul` stays the
+    one counted single product, for code outside the bulk counters.
     """
 
     family: str = "abstract"
@@ -149,6 +151,48 @@ def power(ctx: SemigroupContext, x, e: int):
         if not k:
             return result
         base = prod(base, base)
+
+
+class Powers:
+    """Fixed-base powers x^e of one base x, from stored squares.
+
+    Keeps the squares x^(2^i) made so far, so x^e costs only the squares
+    it is the first to need plus popcount(e) - 1 products, added to the
+    counter once, at the exit.  Brickell, Gordon, McCurley and Wilson's
+    fixed-base exponentiation in its plainest form: worth it wherever one
+    call takes several powers of the same base.  Build one inside a call
+    and drop it at the end; the squares are never shared between calls.
+    """
+
+    __slots__ = ("ctx", "squares")
+
+    def __init__(self, ctx: SemigroupContext, x) -> None:
+        self.ctx = ctx
+        self.squares = [x]
+
+    def __call__(self, e: int):
+        if not isinstance(e, int) or e < 1:
+            raise SemigroupError(f"exponent must be a positive integer, "
+                                 f"got {e!r}")
+        squares = self.squares
+        prod = self.ctx._product
+        made = 0
+        for _ in range(len(squares), e.bit_length()):
+            squares.append(prod(squares[-1], squares[-1]))
+            made += 1
+        result = None
+        i = 0
+        while e:
+            if e & 1:
+                if result is None:
+                    result = squares[i]
+                else:
+                    result = prod(result, squares[i])
+                    made += 1
+            e >>= 1
+            i += 1
+        self.ctx.mult_count += made
+        return result
 
 
 def table_walk(ctx: SemigroupContext, start, step, n: int):

@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 
 from .core import (
     CycleStructure,
+    DomainError,
     OracleFailureError,
+    Powers,
     SemigroupContext,
     SemigroupError,
     Trace,
@@ -126,8 +128,9 @@ class Alg4Trace(Trace):
         return {**super().to_json(), "table_peak": self.table_peak}
 
 
-def _alg4_round(ctx: SemigroupContext, x, bound: int):
-    """One baby/giant round at the given bound.
+def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int):
+    """One baby/giant round at the given bound, taking its powers of x
+    from the ladder `powers`.
 
     Baby phase: walk x^N, x^(N+1), ..., x^(N+q) with q = ceil(sqrt(N)),
     stopping at the first repeated value.  The first repeat of consecutive
@@ -141,21 +144,23 @@ def _alg4_round(ctx: SemigroupContext, x, bound: int):
     multiple when the table straddles the cycle start.  The candidate is
     therefore accepted only after checking x^N = x^(N + candidate); a
     failed check means this round's bound was too small and the caller
-    quadruples it.
+    quadruples it.  At N = 4^r, x^N and x^q (q = 2^r) are squares of the
+    ladder, so a round costs two new squarings where a fresh square and
+    multiply would cost 3r.
     """
     q = ceil_sqrt(bound)
-    base = power(ctx, x, bound)
+    base = powers(bound)
     table, last, repeat = table_walk(ctx, base, x, q)
     if repeat is not None:
         k1, k2 = repeat
         return k2 - k1, Alg4Round(bound, q, k2, None, k2 - k1, True, k2)
     del table[last]  # x^(N+q) is the first giant probe, not a table entry
 
-    hit = probe_walk(ctx, table, last, power(ctx, x, q), q)
+    hit = probe_walk(ctx, table, last, powers(q), q)
     if hit is None:
         return None, Alg4Round(bound, q, None, None, None, False, q)
     candidate = hit[0] * q - hit[1]
-    accepted = ctx.mul(power(ctx, x, candidate), base) == base
+    accepted = ctx.mul(powers(candidate), base) == base
     return (candidate if accepted else None), Alg4Round(
         bound, q, None, hit, candidate, accepted, q)
 
@@ -174,9 +179,10 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     if known_bound is not None and check_int(known_bound, "known_bound") < 1:
         raise SemigroupError("known_bound must be >= 1")
     trace = Alg4Trace()
+    powers = Powers(ctx, x)
 
     def attempt(bound):
-        result, rec = _alg4_round(ctx, x, bound)
+        result, rec = _alg4_round(ctx, x, powers, bound)
         trace.rounds.append(rec)
         return result
 
@@ -193,7 +199,9 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     The predicate "x^(c + L) = x^c" holds exactly for c >= cycle start
     (it also holds when L is any positive multiple of the true cycle
     length, so a Monico-style overshoot still yields the correct start).
-    Costs O((log N)^2) multiplications.  `max_start` guards against a
+    Costs O((log N)^2) multiplications: the probes x^c come from one
+    ladder of x, so a doubling probe is a square and a bisection probe
+    costs popcount(c) - 1 products.  `max_start` guards against a
     candidate L that is not a multiple of the true cycle length, for which
     the predicate never holds.
     """
@@ -201,9 +209,10 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     if check_int(cycle_length, "cycle_length") < 1:
         raise SemigroupError("cycle_length must be >= 1")
     step = power(ctx, x, cycle_length)
+    powers = Powers(ctx, x)
 
     def holds(c: int) -> bool:
-        xc = power(ctx, x, c)
+        xc = powers(c)
         return ctx.mul(xc, step) == xc
 
     s = 1
@@ -224,16 +233,22 @@ def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
     divide g by p while x^(g/p) * base = base still holds.  The periods of
     `base` are exactly the multiples of the cycle length, so what remains
     is the least one.  Costs at most one check per prime factor of g,
-    counted with multiplicity, plus one per distinct prime.
+    counted with multiplicity, plus one per distinct prime; the checks
+    take their powers of x from one ladder.
     """
     ctx.validate(x)
     ctx.validate(base)
+    return _least_period(ctx, Powers(ctx, x), base, g)
+
+
+def _least_period(ctx, powers, base, g):
+    """least_period with the powers of x taken from the ladder `powers`."""
     try:
         primes = factor_integer(g)
     except ValueError as exc:
         raise SemigroupError(f"cannot reduce {g}: {exc}") from None
     for p, _ in primes:
-        while g % p == 0 and ctx.mul(power(ctx, x, g // p), base) == base:
+        while g % p == 0 and ctx.mul(powers(g // p), base) == base:
             g //= p
     return g
 
@@ -270,35 +285,37 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     replaced by g/d whenever x^(anchor_exp + g/d) = x^(anchor_exp) holds.
     The list is not recomputed as g shrinks, so prime factors above the
     bound are never removed and the result can stay a proper multiple.
+    The anchor and the candidates are powers of x from one ladder.
     """
     ctx.validate(x)
     if check_int(g, "g") < 1:
         raise SemigroupError("g must be >= 1")
-    base = power(ctx, x, anchor_exp)
+    powers = Powers(ctx, x)
+    base = powers(anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):
         if g % d:
             continue
         cand = g // d
         if cand < 1:
             continue
-        if ctx.mul(power(ctx, x, cand), base) == base:
+        if ctx.mul(powers(cand), base) == base:
             g = cand
             if record is not None:
                 record.append(d)
     return g
 
 
-def _monico_round(ctx, x, bound, divisor_bound, trace):
+def _monico_round(ctx, x, powers, bound, divisor_bound, trace):
     m = ceil_sqrt(bound)
     q = next_prime(bound)
     trace.bound, trace.m, trace.prime = bound, m, q
+    xq = powers(q)
 
     # table[x^(q + i*m)] = i for i = 0..m, until the first repeat; that
     # repeat spans one period P = L/gcd(L, m) of the index, as in-cycle
     # entries repeat exactly every P steps and earlier ones never, and it
     # is all the round reads, so the walk stops there
-    table, _, duplicate = table_walk(ctx, power(ctx, x, q), power(ctx, x, m),
-                                     m)
+    table, _, duplicate = table_walk(ctx, xq, powers(m), m)
 
     # strip at an exponent the collision certifies to lie in the cycle
     # (the smaller of two with equal powers): at a pre-cycle exponent no
@@ -309,12 +326,14 @@ def _monico_round(ctx, x, bound, divisor_bound, trace):
         g = (i2 - i1) * m
         anchor = q + i1 * m
     else:
-        # least b in [1, m] with x^(offset + b) in the table; b = m does
-        # occur: consecutive table residues can sit exactly m apart
+        # least b in [1, m] with x^(offset + b) in the table, for the
+        # offsets q and 2q; b = m does occur: consecutive table residues
+        # can sit exactly m apart
         shifts = []
-        for offset in (q, 2 * q):
-            hit = probe_walk(ctx, table, ctx.mul(power(ctx, x, offset), x),
-                             x, m)
+        start = x
+        for _ in range(2):
+            start = ctx.mul(xq, start)  # x^(q+1), then x^(2q+1)
+            hit = probe_walk(ctx, table, start, x, m)
             if hit is None:
                 return None
             shifts.append(hit)
@@ -359,15 +378,17 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     if bound is not None and check_int(bound, "bound") < 1:
         raise SemigroupError("bound must be >= 1")
     trace = MonicoTrace(divisor_bound=divisor_bound)
+    powers = Powers(ctx, x)
     return _doubling_search(
         ctx, trace,
-        lambda n: _monico_round(ctx, x, n, divisor_bound, trace),
+        lambda n: _monico_round(ctx, x, powers, n, divisor_bound, trace),
         bound or 1, bound is None,
         f"no collision within bound {bound}; the bound must be at least the "
         "order of the element", trace.attempts)
 
 
-def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
+def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
+                      steps: tuple | None = None) -> int:
     """Smallest verified k' with h^k' = target found by inverse-free
     collision search, or OracleFailureError.
 
@@ -380,6 +401,13 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     exponent the smallest one the table can express; it is at most
     q(q+1).  That is at most 2*bound for every bound except 1, 2 and 5,
     where q(q+1) is 6, 6 and 12.
+
+    `steps` lets queries on the same h at the same bound, as in one
+    Banin-Tsaban outer round, share their powers of h: a pair (Powers of
+    h, list of the giant steps h^(iq), i = 1, 2, ..., made so far), which
+    the oracle extends as it probes further.  With None (the default) a
+    query builds its own.  The walk, the scan order and the answer are
+    the same either way; only the products made differ.
     """
     ctx.validate(h)
     ctx.validate(target)
@@ -388,7 +416,11 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
     q = ceil_sqrt(max(bound, 2))
     # its own walk, not table_walk: the table keeps every index of a value,
     # as one index's candidate can fail the power check where another's
-    # verifies (an int-valued table cost the benchmark +8-9% peak memory)
+    # verifies.  The per-entry lists also set how often Python runs a full
+    # garbage collection: about 160 times in a 36 s cycle-cheap benchmark
+    # run, against once with an int-valued table.  Only a full collection
+    # frees the package copies the benchmark re-imports after each pass,
+    # so without the lists they pile up (peak RSS 20.7 -> 24.8 MiB, seed 3)
     prod = ctx._product
     table = {target: [0]}  # element -> every j with target*h^j equal to it
     cur = target
@@ -397,19 +429,23 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int) -> int:
         table.setdefault(cur, []).append(j)
     ctx.mult_count += q
 
-    step = power(ctx, h, q)
-    probe = step
+    powers, giants = steps if steps is not None else (Powers(ctx, h), [])
+    made = 0
     for i in range(1, q + 2):
-        if i > 1:
-            probe = prod(probe, step)
-        for j in reversed(table.get(probe, ())):
+        if i > len(giants):
+            if giants:
+                giants.append(prod(giants[-1], giants[0]))
+                made += 1
+            else:
+                giants.append(powers(q))
+        for j in reversed(table.get(giants[i - 1], ())):
             cand = i * q - j
             if cand < 1:
                 continue
-            if power(ctx, h, cand) == target:
-                ctx.mult_count += i - 1
+            if powers(cand) == target:
+                ctx.mult_count += made
                 return cand
-    ctx.mult_count += q
+    ctx.mult_count += made
     raise OracleFailureError(
         f"no exponent k' <= {q * (q + 1)} maps h to the target")
 
@@ -442,20 +478,25 @@ def _default_outer_rounds(bound: int) -> int:
     return math.ceil(math.log2(max(2.0, math.log2(bound)))) + 1
 
 
-def _banin_attempt(ctx, x, bound, inner, outer, rng, trace):
+def _banin_attempt(ctx, powers, bound, inner, outer, rng, trace):
+    """One attempt at one bound, its powers of x taken from the ladder
+    `powers`.  An outer round's h, its targets h^k and its oracle queries
+    share one ladder of h and one list of giant steps."""
     rounds = []
     acc = 1
     anchor = None
     for _ in range(outer):
         z = rng.randint(max(1, bound // 2), bound)
-        h = power(ctx, x, z)
+        h = powers(z)
+        h_powers = Powers(ctx, h)
+        steps = (h_powers, [])
         g = 0
         pairs = []
         for _ in range(inner):
             k = rng.randint(bound + 1, 2 * bound)
-            target = power(ctx, h, k)
+            target = h_powers(k)
             try:
-                kp = group_dlog_oracle(ctx, h, target, bound)
+                kp = group_dlog_oracle(ctx, h, target, bound, steps)
             except OracleFailureError:
                 trace.rounds = rounds
                 return None
@@ -474,12 +515,12 @@ def _banin_attempt(ctx, x, bound, inner, outer, rng, trace):
     trace.anchor_exponent = anchor
     if anchor is None or acc >= 1 << 63:
         return None
-    base = power(ctx, x, anchor)
-    if ctx.mul(power(ctx, x, acc), base) != base:
+    base = powers(anchor)
+    if ctx.mul(powers(acc), base) != base:
         return None
     # candidate verified to be a multiple of the cycle length; reduce it
     # by its prime cofactors to the cycle length
-    length = least_period(ctx, x, base, acc)
+    length = _least_period(ctx, powers, base, acc)
     trace.verified = True
     trace.corrected_from = acc if length != acc else None
     return length
@@ -511,12 +552,14 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
         raise SemigroupError("outer_rounds must be >= 1")
     rng = random.Random(seed)
     trace = BaninTrace()
+    powers = Powers(ctx, x)
 
     def attempt(m):
         outer = (outer_rounds if outer_rounds is not None
                  else _default_outer_rounds(m))
         trace.bound = m
-        return _banin_attempt(ctx, x, m, inner_rounds, outer, rng, trace)
+        return _banin_attempt(ctx, powers, m, inner_rounds, outer, rng,
+                              trace)
 
     return _doubling_search(ctx, trace, attempt, bound, True, None,
                             trace.failed_bounds)
@@ -545,7 +588,11 @@ def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
         length, trace = monico_cycle_length(ctx, x, bound, divisor_bound,
                                             seed)
     elif alg == "banin-tsaban":
-        inner, outer = rounds or (4, None)
+        try:
+            inner, outer = rounds or (4, None)
+        except (TypeError, ValueError):
+            raise DomainError(f"rounds must be a pair (inner, outer), "
+                              f"got {rounds!r}") from None
         length, trace = banin_tsaban_cycle_length(
             ctx, x, 16 if bound is None else bound, inner_rounds=inner,
             outer_rounds=outer, seed=seed)

@@ -28,6 +28,7 @@ from .core import (
     CycleStructure,
     DomainError,
     NoSolutionError,
+    Powers,
     SemigroupContext,
     SemigroupError,
     Trace,
@@ -69,9 +70,10 @@ def make_group_view(ctx: SemigroupContext, x,
     ctx.validate(x)
     s, length = _check_cycle(cycle).cycle_start, cycle.cycle_length
     t = -(-s // length)
-    identity = power(ctx, x, t * length)
-    generator = ctx.mul(identity, x)  # x^(tL+1)
     cycle_power = power(ctx, x, length)
+    # x^(tL) = (x^L)^t, free when t = 1
+    identity = power(ctx, cycle_power, t) if t > 1 else cycle_power
+    generator = ctx.mul(identity, x)  # x^(tL+1)
     return GroupView(base=x, cycle=cycle, t=t, generator=generator,
                      identity=identity, cycle_power=cycle_power)
 
@@ -209,19 +211,16 @@ def _shift_into_group(ctx, gv, y):
     The predicate is monotone in b (the shift pushes the implicit exponent
     of y past the cycle start); its failure at b = t means y is not a
     power of the base at all.  A group element g has g*x^L = g, so every
-    shift that enters the group yields the same product y*x^(tL).
+    shift that enters the group yields the same product y*x^(tL), y times
+    the identity.  The probes x^(bL) come from one ladder of x^L.
     """
-    t, length = gv.t, gv.cycle.cycle_length
-    x = gv.base
-
-    def shifted(b):
-        return ctx.mul(y, power(ctx, x, b * length))
-
-    y_prime = shifted(t)
+    y_prime = ctx.mul(y, gv.identity)
     if not _in_group(ctx, gv, y_prime):
         raise NoSolutionError("y*x^(tL) never enters the group; "
                               "y is not a power of the base")
-    b = first_true(lambda b: _in_group(ctx, gv, shifted(b)), 0, t)
+    shifts = Powers(ctx, gv.cycle_power)
+    b = first_true(lambda b: _in_group(ctx, gv, ctx.mul(y, shifts(b))), 0,
+                   gv.t)
     return b, y_prime
 
 

@@ -32,7 +32,12 @@ from functools import cache
 from itertools import repeat
 from operator import itemgetter
 
-from .core import IncompatibleElementError, SemigroupContext, SemigroupError
+from .core import (
+    IncompatibleElementError,
+    SemigroupContext,
+    SemigroupError,
+    check_int,
+)
 
 KEY_ENCODING_VERSION = 1
 
@@ -508,4 +513,5 @@ def parse_element_spec(text):
 
 def random_element(family: str, params: dict, seed: int):
     """Seed-deterministic element of the given family, uniform entries."""
-    return make_context(family, params).draw(random.Random(seed))
+    return make_context(family, params).draw(
+        random.Random(check_int(seed, "seed")))

@@ -192,10 +192,16 @@ def crt_combine(residues) -> int:
     """Unique solution mod prod(moduli) of x = r_i (mod m_i).
 
     `residues` is an iterable of (r_i, m_i) pairs with pairwise coprime
-    moduli; non-coprime moduli raise DomainError.
+    moduli; anything else, non-coprime moduli included, raises
+    DomainError.
     """
+    try:
+        pairs = [(r, m) for r, m in residues]
+    except (TypeError, ValueError):
+        raise DomainError("residues must be an iterable of (residue, "
+                          f"modulus) pairs, got {residues!r}") from None
     x, mod = 0, 1
-    for r, m in residues:
+    for r, m in pairs:
         check_int(r, "residue")
         if check_int(m, "modulus") < 1:
             raise DomainError("moduli must be positive")

@@ -16,6 +16,7 @@ from semidlog import (
     multiply,
     power,
 )
+from semidlog.core import Powers
 
 
 def naive_power(ctx, x, e):
@@ -85,6 +86,19 @@ def test_power_zero_exponent_rejected():
         power(ctx, 2, 0)
     with pytest.raises(SemigroupError):
         power(ctx, 2, -3)
+
+
+def test_ladder_rejects_exponents_below_one_and_keeps_its_squares():
+    ctx = ZModContext(100)
+    powers = Powers(ctx, 3)
+    for e in (0, -3, "2"):
+        with pytest.raises(SemigroupError):
+            powers(e)
+    assert powers(1) == 3 and ctx.mult_count == 0
+    assert powers(12) == 3 ** 12 % 100
+    assert ctx.mult_count == 3 + 1  # squares x^2, x^4, x^8; x^4 * x^8
+    assert powers(8) == 3 ** 8 % 100
+    assert ctx.mult_count == 4  # a stored square is free
 
 
 def test_power_distinguishes_pre_cycle_exponents():

@@ -1,9 +1,9 @@
 """The multiplication counter equals the products actually made.
 
-Only the bulk walks call a family's raw `_product`: `power`, the
-collision-table walks `table_walk` and `probe_walk` in `core`, and the
-Banin-Tsaban oracle's own walk.  Each adds its multiplications to
-`ctx.mult_count` once per exit.  Each test here shadows `ctx._product`
+Only the bulk counters call a family's raw `_product`: `power` and the
+fixed-base ladder `Powers`, the collision-table walks `table_walk` and
+`probe_walk` in `core`, and the Banin-Tsaban oracle's own walk.  Each
+adds its multiplications to `ctx.mult_count` once per exit.  Each test here shadows `ctx._product`
 with an instance attribute that counts its own calls, runs one public
 route or one walk to its end (a normal return or a documented raise) and
 checks that the counter moved by exactly the number of raw calls.
@@ -32,7 +32,7 @@ from semidlog import (
     power,
     semigroup_dlog,
 )
-from semidlog.core import probe_walk, table_walk
+from semidlog.core import Powers, probe_walk, table_walk
 
 # one base per family, plus an element of the same instance that is not a
 # power of it; every order is above 6 (see the oracle route) and every
@@ -84,6 +84,13 @@ def _route_deterministic_baby_hit(ctx, x, cyc, other):
     bound = max(cyc.order, cyc.cycle_length ** 2)
     length, trace = deterministic_cycle_length(ctx, x, known_bound=bound)
     assert length == trace.rounds[0].baby_hit == cyc.cycle_length
+
+
+def _route_ladder(ctx, x, cyc, other):
+    # new squares, stored ones, a repeat and a single-bit exponent
+    powers = Powers(ctx, x)
+    for e in (cyc.order + 5, 3, 4 * cyc.order + 1, cyc.order + 5, 1, 64):
+        assert powers(e) == power(ctx, x, e)
 
 
 def _route_start_search(ctx, x, cyc, other):
@@ -148,6 +155,7 @@ ROUTES = {
        for alg in CYCLE_ALGORITHMS for at_order in (False, True)},
     "deterministic-bound-too-small": _route_deterministic_small_bound,
     "deterministic-baby-hit": _route_deterministic_baby_hit,
+    "ladder": _route_ladder,
     "cycle_start_search": _route_start_search,
     "least_period": _route_least_period,
     "monico_strip": _route_monico_strip,

@@ -23,6 +23,7 @@ from semidlog import (
     monico_strip,
     power,
 )
+from semidlog.core import Powers
 from semidlog.numtheory import ceil_sqrt
 
 
@@ -226,11 +227,14 @@ def test_deterministic_accepts_a_baby_repeat_before_the_cycle_start():
     assert (rec.baby_hit, rec.giant_hit, rec.candidate, rec.accepted,
             rec.table_size) == (4, None, 3, True, 4)
 
+    # the rounds share one ladder of x: round 1 walks 1 step, round 2
+    # squares twice for x^4 (x^2 comes free) and makes 3 steps, round 3
+    # squares twice more for x^16 and walks 4
     ctx = MonogenicContext(17, 3)
     length, trace = deterministic_cycle_length(ctx, 1)
     assert length == 3
     assert [r.bound for r in trace.rounds] == [1, 4, 16]
-    assert trace.multiplications == 15
+    assert trace.multiplications == 1 + 5 + 6
 
 
 def test_deterministic_table_sizes_respect_sqrt_bound():
@@ -299,14 +303,15 @@ def test_least_period_reduces_a_verified_multiple():
 
 
 def test_least_period_exact_input_costs_one_check_per_prime():
-    # each check is x^(g/p) (square and multiply) times the base
+    # each check is x^(g/p) from one ladder of x (the squares up to the
+    # largest g/p once, then popcount - 1 products) times the base
     ctx = MonogenicContext(1, 360)
     base = power(ctx, 1, 3)
     ctx.mult_count = 0
     assert least_period(ctx, 1, base, 360) == 360
-    assert ctx.mult_count == sum(
-        e.bit_length() - 1 + bin(e).count("1") - 1 + 1
-        for e in (360 // 2, 360 // 3, 360 // 5))
+    checks = (360 // 2, 360 // 3, 360 // 5)
+    assert ctx.mult_count == max(checks).bit_length() - 1 + sum(
+        e.bit_count() - 1 + 1 for e in checks)
 
 
 def test_least_period_rejects_unfactorable_input():
@@ -510,6 +515,26 @@ def test_oracle_matches_brute_scan_randomly():
         scan = next(i for i in range(1, cyc.order + 1)
                     if power(ctx, base, i) == target)
         assert got == scan
+
+
+def test_oracle_shared_steps_answer_as_fresh_queries():
+    # queries on one h at one bound sharing a ladder of h and the giant
+    # steps answer exactly as fresh ones, misses included, for fewer
+    # products: the shared steps are made once
+    rng = random.Random(5)
+    ctx, fresh = MonogenicContext(40, 90), MonogenicContext(40, 90)
+    h, bound = 3, 200
+    steps = (Powers(ctx, h), [])
+    for _ in range(12):
+        target = rng.randint(1, ctx.order)
+        try:
+            want = group_dlog_oracle(fresh, h, target, bound)
+        except OracleFailureError:
+            with pytest.raises(OracleFailureError):
+                group_dlog_oracle(ctx, h, target, bound, steps)
+            continue
+        assert group_dlog_oracle(ctx, h, target, bound, steps) == want
+    assert 0 < ctx.mult_count < fresh.mult_count
 
 
 # ------------------------------------------------------------- banin-tsaban

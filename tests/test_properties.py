@@ -1,8 +1,9 @@
 """Property tests over all five families, with hypothesis.
 
-Four properties, each checked on small drawn instances of every family:
+Five properties, each checked on small drawn instances of every family:
 every cycle algorithm agrees with brute force, both dlog solvers recover
-the solution set of a drawn exponent, keys are injective, and element
+the solution set of a drawn exponent, the fixed-base ladder agrees with
+`power` at the cost of its new squares, keys are injective, and element
 specs round-trip through emit and parse.  Two more feed JSON-like junk to
 `parse_element_spec` and `make_context` and check that only typed
 `SemigroupError`s escape.  Runs are derandomized, so a failure reproduces
@@ -29,6 +30,7 @@ from semidlog import (  # noqa: E402
     power,
     solution_set,
 )
+from semidlog.core import Powers  # noqa: E402
 from semidlog.instances import FAMILIES  # noqa: E402
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
@@ -99,6 +101,27 @@ def test_dlog_round_trip(family, data):
         sol, _ = solver(make_context(family, params), x, y, cyc)
         assert sol == solution_set(k, cyc), name
         assert sol.contains(k), name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_ladder_matches_power(family, data):
+    """Over a run of exponents, one ladder returns power's x^e, and each
+    call costs the squares no earlier call made plus popcount(e) - 1."""
+    params, x = _draw_instance(data, family)
+    exponents = data.draw(st.lists(st.integers(1, 1 << 70), min_size=1,
+                                   max_size=8), label="exponents")
+    ctx = make_context(family, params)
+    ref = make_context(family, params)
+    powers = Powers(ctx, x)
+    squared = 0  # x^(2^squared) is the highest square made so far
+    for e in exponents:
+        before = ctx.mult_count
+        assert powers(e) == power(ref, x, e)
+        new = max(0, e.bit_length() - 1 - squared)
+        squared += new
+        assert ctx.mult_count - before == new + e.bit_count() - 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)

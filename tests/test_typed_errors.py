@@ -108,6 +108,19 @@ ENTRY_POINTS = {
     "MonogenicContext": lambda: MonogenicContext(1.5, 2),
 }
 
+# further malformed inputs to the entry points above, each of which once
+# leaked a raw TypeError or ValueError
+MORE_ENTRY_CASES = {
+    "find_cycle-rounds-not-a-pair":
+        lambda: find_cycle(_zmod(), 2, "banin-tsaban", rounds=5),
+    "find_cycle-rounds-one-value":
+        lambda: find_cycle(_zmod(), 2, "banin-tsaban", rounds=(1,)),
+    "crt_combine-not-iterable": lambda: crt_combine(5),
+    "crt_combine-pair-too-short": lambda: crt_combine([(1,)]),
+    "random_element-list-seed":
+        lambda: random_element("zmod", {"modulus": 7}, [1]),
+}
+
 # name -> a call with junk values; these store their arguments unchecked
 RECORDS = {
     "Alg4Trace": lambda: Alg4Trace(rounds="junk"),
@@ -141,6 +154,12 @@ def test_every_public_callable_has_an_entry():
 def test_malformed_input_raises_a_typed_error(name):
     with pytest.raises(SemigroupError):
         ENTRY_POINTS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(MORE_ENTRY_CASES))
+def test_more_malformed_inputs_raise_typed_errors(name):
+    with pytest.raises(SemigroupError):
+        MORE_ENTRY_CASES[name]()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
