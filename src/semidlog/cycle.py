@@ -430,14 +430,13 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     ctx.mult_count += q
 
     powers, giants = steps if steps is not None else (Powers(ctx, h), [])
+    if not giants:
+        giants.append(powers(q))
     made = 0
     for i in range(1, q + 2):
         if i > len(giants):
-            if giants:
-                giants.append(prod(giants[-1], giants[0]))
-                made += 1
-            else:
-                giants.append(powers(q))
+            giants.append(prod(giants[-1], giants[0]))
+            made += 1
         for j in reversed(table.get(giants[i - 1], ())):
             cand = i * q - j
             if cand < 1:
