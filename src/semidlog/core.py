@@ -14,13 +14,18 @@ are plain dicts keyed by the element, and equality tests compare elements
 directly.  The byte key is the stable serialization format only (golden
 encodings, output); no algorithm needs it.  Besides `power`, the module
 holds `Powers`, the fixed-base ladder for many powers of one base, and
-the collision-table primitive, `table_walk` and `probe_walk`.
+the collision-table primitive: `table_walk`, `probe_walk` and
+`table_walk_all`, written once as a template that each family
+instantiates with its own product step (see SemigroupContext).
 """
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
+from functools import cache
+from types import SimpleNamespace
 
 
 class SemigroupError(Exception):
@@ -68,16 +73,25 @@ class SemigroupContext(ABC):
 
     `mult_count` is exact whenever a public function returns or raises.
     The bulk counters in this module, `power`, the fixed-base ladder
-    `Powers`, `table_walk` and `probe_walk`, plus the Banin-Tsaban
-    oracle's own walk, call `_product` directly and add their
-    multiplications to the counter in one step per exit, so inside one it
-    is updated only at that exit.  Only a family whose `_product` raises
-    can leave it wrong: short by the products made so far, or, in
-    `power`, which counts before it multiplies, ahead.  `mul` stays the
-    one counted single product, for code outside the bulk counters.
+    `Powers` and the three collision walks `table_walk`, `probe_walk` and
+    `table_walk_all`, make their products without `mul` and add them to
+    the counter in one step per exit, so inside one it is updated only at
+    that exit.  Only a family whose product raises can leave it wrong:
+    short by the products made so far, or, in `power`, which counts before
+    it multiplies, ahead.  `mul` stays the one counted single product, for
+    code outside the bulk counters.
+
+    The walks come from one template (`_WALK_TEMPLATE`), instantiated per
+    family from `_walk_step` on first use.  The default step calls
+    `_product` once per step; a family whose product is a line or two of
+    arithmetic (zmod, monogenic) writes it into the walks instead, and its
+    walks call no `_product`.  A family that overrides `_walk_step` must
+    step exactly as its `_product` multiplies.
     """
 
     family: str = "abstract"
+    # (BIND, STEP) source fragments of the walks' product step
+    _walk_step = ("prod = ctx._product", "cur = prod(cur, step)")
 
     def __init__(self) -> None:
         self.mult_count = 0
@@ -118,13 +132,21 @@ class SemigroupContext(ABC):
         return f"{type(self).__name__}({params})"
 
 
+def check_context(ctx) -> SemigroupContext:
+    """`ctx` if it is a SemigroupContext, else DomainError: the type
+    check on the public functions' context argument."""
+    if not isinstance(ctx, SemigroupContext):
+        raise DomainError(f"ctx must be a SemigroupContext, got {ctx!r}")
+    return ctx
+
+
 def multiply(ctx: SemigroupContext, a, b):
     """Product a*b in `ctx`, incrementing the multiplication counter by 1.
 
     Raises IncompatibleElementError when either operand does not belong to
     the context's instance (wrong dimension, out-of-range entries, ...).
     """
-    ctx.validate(a)
+    check_context(ctx).validate(a)
     ctx.validate(b)
     return ctx.mul(a, b)
 
@@ -136,6 +158,7 @@ def power(ctx: SemigroupContext, x, e: int):
     which is at most 2*floor(log2 e) + 1, added to the counter up front.
     e = 0 is rejected: a semigroup has no identity to return.
     """
+    check_context(ctx)
     if not isinstance(e, int) or e < 1:
         raise SemigroupError(f"exponent must be a positive integer, got {e!r} "
                              "(no identity element exists for x^0)")
@@ -195,18 +218,18 @@ class Powers:
         return result
 
 
-def table_walk(ctx: SemigroupContext, start, step, n: int):
-    """Tabulate start*step^k -> k for k = 0..n up to the first repeated
-    value; returns (table, last value, repeat).  `repeat` is (k1, k2) for
-    the least k2 with start*step^k2 = start*step^k1, k1 < k2, else None;
-    the table keeps first indices.  Adds the products made, k2 or n, to
-    the counter once, at the exit.
-    """
-    prod = ctx._product
+# The collision walks, written once.  A family's `_walk_step` is a pair of
+# source fragments: BIND, the statements that read what its product needs
+# from `ctx`, and STEP, the statements that set `cur` to cur*step.  The
+# template is instantiated once per distinct pair, on first use, and
+# shared by every context of the family.
+_WALK_TEMPLATE = """\
+def table_walk(ctx, start, step, n):
+    BIND
     table = {start: 0}
     cur = start
     for k in range(1, n + 1):
-        cur = prod(cur, step)
+        STEP
         first = table.setdefault(cur, k)
         if first != k:
             ctx.mult_count += k
@@ -215,15 +238,11 @@ def table_walk(ctx: SemigroupContext, start, step, n: int):
     return table, cur, None
 
 
-def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
-    """First i in 1..n (n >= 1) with cur*step^(i-1) in `table`, as
-    (i, table value), or None.  Adds the products made, i - 1 or n - 1, to
-    the counter once, at the exit.
-    """
-    prod = ctx._product
+def probe_walk(ctx, table, cur, step, n):
+    BIND
     for i in range(1, n + 1):
         if i > 1:
-            cur = prod(cur, step)
+            STEP
         value = table.get(cur)
         if value is not None:
             ctx.mult_count += i - 1
@@ -232,11 +251,72 @@ def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
     return None
 
 
+def table_walk_all(ctx, start, step, n):
+    BIND
+    table = {start: [0]}
+    cur = start
+    for k in range(1, n + 1):
+        STEP
+        table.setdefault(cur, []).append(k)
+    ctx.mult_count += max(n, 0)
+    return table
+"""
+
+
+@cache
+def _walks(walk_step: tuple) -> SimpleNamespace:
+    """The three walks of _WALK_TEMPLATE for one (BIND, STEP) pair.
+
+    Each placeholder line is replaced by the fragment's lines at that
+    line's indentation.  The source is built from the families' own class
+    attributes only, never from input.
+    """
+    fragments = dict(zip(("BIND", "STEP"), walk_step))
+
+    def fill(match):
+        indent = match.group(1)
+        return "\n".join(indent + line
+                         for line in fragments[match.group(2)].splitlines())
+
+    source = re.sub(r"^( *)(BIND|STEP)$", fill, _WALK_TEMPLATE, flags=re.M)
+    namespace = {}
+    exec(compile(source, "<semidlog walks>", "exec"), namespace)
+    return SimpleNamespace(**{name: namespace[name] for name in
+                              ("table_walk", "probe_walk", "table_walk_all")})
+
+
+def table_walk(ctx: SemigroupContext, start, step, n: int):
+    """Tabulate start*step^k -> k for k = 0..n up to the first repeated
+    value; returns (table, last value, repeat).  `repeat` is (k1, k2) for
+    the least k2 with start*step^k2 = start*step^k1, k1 < k2, else None;
+    the table keeps first indices.  Adds the products made, k2 or n, to
+    the counter once, at the exit.
+    """
+    return _walks(ctx._walk_step).table_walk(ctx, start, step, n)
+
+
+def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
+    """First i in 1..n (n >= 1) with cur*step^(i-1) in `table`, as
+    (i, table value), or None.  Adds the products made, i - 1 or n - 1, to
+    the counter once, at the exit.
+    """
+    return _walks(ctx._walk_step).probe_walk(ctx, table, cur, step, n)
+
+
+def table_walk_all(ctx: SemigroupContext, start, step, n: int) -> dict:
+    """Tabulate start*step^k -> [every k with that value] for k = 0..n,
+    indices ascending, with no stop at a repeat.  Adds the n products to
+    the counter once, at the exit.
+    """
+    return _walks(ctx._walk_step).table_walk_all(ctx, start, step, n)
+
+
 def canonical_key(ctx: SemigroupContext, a) -> bytes:
     """Canonical byte key of `a`; key equality is element equality.
 
     Raises IncompatibleElementError when `a` does not belong to `ctx`.
     """
+    check_context(ctx)
     return ctx.key(ctx.validate(a))
 
 

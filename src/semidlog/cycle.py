@@ -33,10 +33,12 @@ from .core import (
     SemigroupContext,
     SemigroupError,
     Trace,
+    check_context,
     check_int,
     power,
     probe_walk,
     table_walk,
+    table_walk_all,
 )
 from .numtheory import (
     ceil_sqrt,
@@ -57,7 +59,7 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     gives cycle start a and cycle length b - a.  Raises when no repeat
     shows up within `cap` steps (element not torsion within cap).
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     check_int(cap, "cap")
     # the walk's index k stands for the exponent k + 1, so it checks 1..cap
     _, _, repeat = table_walk(ctx, x, x, cap - 1)
@@ -175,7 +177,7 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     the order), a single round at that bound suffices and a failure to
     find a collision raises instead of growing the bound.
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     if known_bound is not None and check_int(known_bound, "known_bound") < 1:
         raise SemigroupError("known_bound must be >= 1")
     trace = Alg4Trace()
@@ -205,7 +207,7 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     candidate L that is not a multiple of the true cycle length, for which
     the predicate never holds.
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     if check_int(cycle_length, "cycle_length") < 1:
         raise SemigroupError("cycle_length must be >= 1")
     step = power(ctx, x, cycle_length)
@@ -236,7 +238,7 @@ def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
     counted with multiplicity, plus one per distinct prime; the checks
     take their powers of x from one ladder.
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     ctx.validate(base)
     return _least_period(ctx, Powers(ctx, x), base, g)
 
@@ -287,7 +289,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     bound are never removed and the result can stay a proper multiple.
     The anchor and the candidates are powers of x from one ladder.
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     if check_int(g, "g") < 1:
         raise SemigroupError("g must be >= 1")
     powers = Powers(ctx, x)
@@ -372,7 +374,7 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     with the randomized routes and is unused here.
     """
     del seed
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     if check_int(divisor_bound, "divisor_bound") < 2:
         raise SemigroupError("divisor_bound must be >= 2")
     if bound is not None and check_int(bound, "bound") < 1:
@@ -409,26 +411,21 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     query builds its own.  The walk, the scan order and the answer are
     the same either way; only the products made differ.
     """
-    ctx.validate(h)
+    check_context(ctx).validate(h)
     ctx.validate(target)
     if check_int(bound, "oracle bound") < 1:
         raise SemigroupError("oracle bound must be >= 1")
     q = ceil_sqrt(max(bound, 2))
-    # its own walk, not table_walk: the table keeps every index of a value,
-    # as one index's candidate can fail the power check where another's
-    # verifies.  The per-entry lists also set how often Python runs a full
-    # garbage collection: about 160 times in a 36 s cycle-cheap benchmark
-    # run, against once with an int-valued table.  Only a full collection
-    # frees the package copies the benchmark re-imports after each pass,
-    # so without the lists they pile up (peak RSS 20.7 -> 24.8 MiB, seed 3)
-    prod = ctx._product
-    table = {target: [0]}  # element -> every j with target*h^j equal to it
-    cur = target
-    for j in range(1, q + 1):
-        cur = prod(cur, h)
-        table.setdefault(cur, []).append(j)
-    ctx.mult_count += q
+    # every index of a value, not table_walk's first: one index's candidate
+    # can fail the power check where another's verifies.  The per-entry
+    # lists also set how often Python runs a full garbage collection:
+    # about 160 times in a 36 s cycle-cheap benchmark run, against once
+    # with an int-valued table.  Only a full collection frees the package
+    # copies the benchmark re-imports after each pass, so without the
+    # lists they pile up (peak RSS 20.7 -> 24.8 MiB, seed 3)
+    table = table_walk_all(ctx, target, h, q)
 
+    prod = ctx._product
     powers, giants = steps if steps is not None else (Powers(ctx, h), [])
     if not giants:
         giants.append(powers(q))
@@ -541,7 +538,7 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     retries.
     Outer rounds default to ceil(log2 log2 bound) + 1.
     """
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     if check_int(bound, "bound") < 2:
         raise SemigroupError("bound must be >= 2")
     if check_int(inner_rounds, "inner_rounds") < 1:

@@ -32,6 +32,7 @@ from .core import (
     SemigroupContext,
     SemigroupError,
     Trace,
+    check_context,
     check_int,
     power,
     probe_walk,
@@ -65,9 +66,15 @@ def _check_cycle(cycle) -> CycleStructure:
     return cycle
 
 
+def _check_view(gv) -> GroupView:
+    if not isinstance(gv, GroupView):
+        raise DomainError(f"gv must be a GroupView, got {gv!r}")
+    return gv
+
+
 def make_group_view(ctx: SemigroupContext, x,
                     cycle: CycleStructure) -> GroupView:
-    ctx.validate(x)
+    check_context(ctx).validate(x)
     s, length = _check_cycle(cycle).cycle_start, cycle.cycle_length
     t = -(-s // length)
     cycle_power = power(ctx, x, length)
@@ -84,8 +91,8 @@ def in_group(ctx: SemigroupContext, gv: GroupView, y) -> bool:
     Raises IncompatibleElementError when y does not belong to the
     context's instance.
     """
-    ctx.validate(y)
-    return _in_group(ctx, gv, y)
+    check_context(ctx).validate(y)
+    return _in_group(ctx, _check_view(gv), y)
 
 
 def _in_group(ctx, gv, y) -> bool:
@@ -99,7 +106,8 @@ def inverse_in_group(ctx: SemigroupContext, gv: GroupView, n: int):
     With v minimal such that v*L >= s + n, the element x^(vL - n) lies in
     the group and multiplies with x^n to the identity x^(tL).
     """
-    s, length = gv.cycle.cycle_start, gv.cycle.cycle_length
+    check_context(ctx)
+    s, length = _check_view(gv).cycle.cycle_start, gv.cycle.cycle_length
     if check_int(n, "n") < s:
         raise SemigroupError(
             f"x^{n} lies before the cycle start {s} and has no inverse")
@@ -121,11 +129,11 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     multiplications on average, as with q baby steps, and at most
     5q/2 + O(log order); the table holds b + 1 entries, half of q + 1.
     """
-    ctx.validate(generator)
+    check_context(ctx).validate(generator)
     ctx.validate(target)
     if check_int(order, "order") < 1:
         raise SemigroupError("order must be >= 1")
-    if target == gv.identity:
+    if target == _check_view(gv).identity:
         return 0
     b = (ceil_sqrt(order) + 1) // 2
     baby, _, _ = table_walk(ctx, target, generator, b)
@@ -273,7 +281,7 @@ def _solve(ctx, x, y, cycle, factorization, trace, records):
     c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills in
     `trace` and returns (DlogSolution, trace).
     """
-    ctx.validate(y)
+    check_context(ctx).validate(y)
     gv = make_group_view(ctx, x, cycle)  # validates x
     s, length = cycle.cycle_start, cycle.cycle_length
     if _in_group(ctx, gv, y):

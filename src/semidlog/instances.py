@@ -129,6 +129,7 @@ class ZModContext(SemigroupContext):
     """Multiplicative semigroup of integers modulo n."""
 
     family = "zmod"
+    _walk_step = ("m = ctx.modulus", "cur = cur * step % m")
 
     def __init__(self, modulus: int):
         if _int_param(modulus, "modulus") < 2:
@@ -399,6 +400,11 @@ class MonogenicContext(SemigroupContext):
     """
 
     family = "monogenic"
+    _walk_step = ("order, s, L = ctx.order, ctx.cycle_start, "
+                  "ctx.cycle_length",
+                  "cur += step\n"
+                  "if cur > order:\n"
+                  "    cur = (cur - s) % L + s")
 
     def __init__(self, s: int, L: int):
         if _int_param(s, "s") < 1:

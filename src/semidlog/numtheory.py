@@ -106,15 +106,22 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-def _trial_division(n: int, limit: int):
+def _trial_division(n: int, limit: int, stop_at_prime: bool = False):
     """Trial division of n >= 1 by 2, 3, 5 and the 30-wheel, up to `limit`
     and while the divisor's square does not exceed the unfactored part.
+    With `stop_at_prime` (n < PSI_13), it also stops as soon as the
+    unfactored part is a prime P, tested on entry and after each prime is
+    divided out while the square test would go on, and reports (P, 1) as
+    found: a rough n = u*P then costs the divisors up to u's largest
+    prime, not up to sqrt(P).
 
     Returns ([(p, e), ...] with p ascending, unfactored part).  The
     unfactored part has no prime factor up to the last divisor tried, so
     it is 1 or a prime whenever the square test stopped the division.
     """
     found = []
+    if stop_at_prime and is_prime(n):
+        return [(n, 1)], 1
     for d in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
         if d > limit or d * d > n:
             break
@@ -124,21 +131,25 @@ def _trial_division(n: int, limit: int):
                 n //= d
                 e += 1
             found.append((d, e))
+            if stop_at_prime and d * d <= n and is_prime(n):
+                found.append((n, 1))
+                return found, 1
     return found, n
 
 
 def factor_integer(n: int) -> list:
     """Complete prime factorization of n >= 1 as [(p, e), ...], p ascending.
 
-    Trial division up to min(sqrt(n), 10^6), then Brent's rho with seeded
-    restarts on whatever composite cofactor survives; every reported prime
-    is certified by the deterministic Miller-Rabin test.
+    Trial division up to min(sqrt(n), 10^6), stopping early once the
+    unfactored part is prime, then Brent's rho with seeded restarts on
+    whatever composite cofactor survives; every reported prime is
+    certified by the deterministic Miller-Rabin test.
     """
     if check_int(n, "n") < 1:
         raise DomainError("factor_integer requires n >= 1")
     if n >= 1 << 63:
         raise DomainError("factor_integer supports n < 2^63")
-    found, n = _trial_division(n, TRIAL_DIVISION_LIMIT)
+    found, n = _trial_division(n, TRIAL_DIVISION_LIMIT, stop_at_prime=True)
     factors = dict(found)
 
     rng = random.Random(0xB0B)

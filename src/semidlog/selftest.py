@@ -1,7 +1,8 @@
 """Built-in consistency suites for the CLI selftest command.
 
 Fast versions of the library's core guarantees: each family's product
-against a short reference that does not use it, algorithm-vs-oracle
+against a short reference that does not use it, the collision walks with
+a family's own product step against the generic walks, algorithm-vs-oracle
 equivalence, the two textbook counterexample scenarios, the power-period
 equivalence, inverse correctness, and agreement of the two discrete-log
 solvers.  Each suite returns a named pass/fail result so a regression is
@@ -14,7 +15,13 @@ import itertools
 import random
 from dataclasses import asdict, dataclass
 
-from .core import power
+from .core import (
+    SemigroupContext,
+    power,
+    probe_walk,
+    table_walk,
+    table_walk_all,
+)
 from .cycle import brute_force_cycle, cycle_structure
 from .dlp import (
     in_group,
@@ -151,6 +158,46 @@ def suite_product_reference(seed: int) -> SuiteResult:
                        "products match the family references and associate")
 
 
+def walk_results(ctx, start, step, n: int, probe_keys) -> list:
+    """Each collision walk's result from (start, step, n), probe_walk's
+    against a table of `probe_keys`, with the products it counted."""
+    probe = {key: i for i, key in enumerate(probe_keys)}
+    results = []
+    for walk in (lambda: table_walk(ctx, start, step, n),
+                 lambda: table_walk_all(ctx, start, step, n),
+                 lambda: probe_walk(ctx, probe, start, step, max(n, 1))):
+        before = ctx.mult_count
+        results.append((walk(), ctx.mult_count - before))
+    return results
+
+
+def suite_walk_reference(seed: int) -> SuiteResult:
+    """The walks zmod and monogenic write their product into, against the
+    generic walks, which call `_product` once per step, on seeded
+    instances: the same tables, last values, repeats, hits and counts."""
+    rng = random.Random(seed)
+    for i in range(40):
+        if i % 2:
+            cls, params = MonogenicContext, (rng.randint(1, 60),
+                                             rng.randint(1, 60))
+        else:
+            cls, params = ZModContext, (rng.choice(
+                [6, 10, 36, 100, 1000, rng.randint(2, 10 ** 6)]),)
+        own, generic = cls(*params), cls(*params)
+        generic._walk_step = SemigroupContext._walk_step
+        start, step = own.draw(rng), own.draw(rng)
+        n = rng.choice([0, 1, rng.randint(2, 300)])
+        probe_keys = [own.draw(rng) for _ in range(rng.randint(0, 6))]
+        got = walk_results(own, start, step, n, probe_keys)
+        if got != walk_results(generic, start, step, n, probe_keys):
+            return SuiteResult(
+                "walk-reference", False,
+                f"{own!r}: walks from {start!r} by {step!r}, n = {n}, "
+                "differ from the generic walks")
+    return SuiteResult("walk-reference", True,
+                       "zmod and monogenic walks match the generic walks")
+
+
 def suite_oracle_equivalence(seed: int) -> SuiteResult:
     for ctx, x in _sample_instances(seed):
         expected = brute_force_cycle(ctx, x)
@@ -249,6 +296,7 @@ def suite_solver_agreement(seed: int) -> SuiteResult:
 
 SUITES = (
     suite_product_reference,
+    suite_walk_reference,
     suite_oracle_equivalence,
     suite_remark_scenarios,
     suite_power_period,

@@ -332,8 +332,9 @@ def test_out_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 7
     assert "[PASS] product-reference" in out
+    assert "[PASS] walk-reference" in out
 
 
 def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
@@ -347,7 +348,7 @@ def test_selftest_reports_a_raising_suite(capsys, monkeypatch):
                         semidlog.selftest.SUITES + (suite_raises,))
     code, out, err = run_cli(["selftest"], capsys)
     assert code == 1
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 7
     assert "[FAIL] suite_raises: raised NoSolutionError: injected" in out
     assert "suite_raises" in err
 
@@ -359,7 +360,9 @@ def test_selftest_json(capsys):
     doc = json.loads(out)
     assert all(suite["passed"] for suite in doc["suites"])
     names = {suite["name"] for suite in doc["suites"]}
-    assert "oracle-equivalence" in names
+    assert names == {"product-reference", "walk-reference",
+                     "oracle-equivalence", "collision-counterexamples",
+                     "power-period", "inverse-formula", "solver-agreement"}
 
 
 def test_bench_csv(capsys):

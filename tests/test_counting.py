@@ -1,12 +1,21 @@
 """The multiplication counter equals the products actually made.
 
-Only the bulk counters call a family's raw `_product`: `power` and the
-fixed-base ladder `Powers`, the collision-table walks `table_walk` and
-`probe_walk` in `core`, and the Banin-Tsaban oracle's own walk.  Each
-adds its multiplications to `ctx.mult_count` once per exit.  Each test here shadows `ctx._product`
-with an instance attribute that counts its own calls, runs one public
-route or one walk to its end (a normal return or a documented raise) and
-checks that the counter moved by exactly the number of raw calls.
+Only the bulk counters make products without `mul`: `power` and the
+fixed-base ladder `Powers`, and the three collision walks `table_walk`,
+`probe_walk` and `table_walk_all` in `core`, plus the Banin-Tsaban
+oracle's giant steps.  Each adds its multiplications to `ctx.mult_count`
+once per exit.  The walks come from one template: zmod and monogenic
+write their product into it and call no `_product`, the other families
+call `_product` once per step.
+
+So each route runs twice, on two fresh contexts of one instance: one with
+the family's own walks, one forced onto the generic walks.  Both shadow
+`ctx._product` with an instance attribute that counts its own calls and
+run the route to its end (a normal return or a documented raise).  The
+results and the counters must agree, and the generic counter must equal
+its raw calls; a family without a product step of its own must match its
+raw calls too.  A guard test checks that the zmod and monogenic walks
+make no `_product` call at all.
 """
 
 import pytest
@@ -16,7 +25,9 @@ from semidlog import (
     MonogenicContext,
     NoSolutionError,
     OracleFailureError,
+    SemigroupContext,
     SemigroupError,
+    ZModContext,
     brute_force_cycle,
     bsgs_group_dlog,
     cycle_start_search,
@@ -32,7 +43,7 @@ from semidlog import (
     power,
     semigroup_dlog,
 )
-from semidlog.core import Powers, probe_walk, table_walk
+from semidlog.core import Powers, probe_walk, table_walk, table_walk_all
 
 # one base per family, plus an element of the same instance that is not a
 # power of it; every order is above 6 (see the oracle route) and every
@@ -67,16 +78,30 @@ FAMILIES = {
 }
 
 
+def _traced(trace):
+    return trace.to_json() if trace is not None else None
+
+
+def _raised(error, call, match=None):
+    """The message of the `error` that `call()` raises."""
+    with pytest.raises(error, match=match) as info:
+        call()
+    return str(info.value)
+
+
 def _route_find_cycle(alg, at_order):
     def route(ctx, x, cyc, other):
         bound = cyc.order if at_order else None
-        assert find_cycle(ctx, x, alg, bound)[0] == cyc
+        got, trace = find_cycle(ctx, x, alg, bound)
+        assert got == cyc
+        return got, _traced(trace)
     return route
 
 
 def _route_deterministic_small_bound(ctx, x, cyc, other):
-    with pytest.raises(SemigroupError, match="no validated collision"):
-        deterministic_cycle_length(ctx, x, known_bound=1)
+    return _raised(SemigroupError,
+                   lambda: deterministic_cycle_length(ctx, x, known_bound=1),
+                   "no validated collision")
 
 
 def _route_deterministic_baby_hit(ctx, x, cyc, other):
@@ -84,28 +109,37 @@ def _route_deterministic_baby_hit(ctx, x, cyc, other):
     bound = max(cyc.order, cyc.cycle_length ** 2)
     length, trace = deterministic_cycle_length(ctx, x, known_bound=bound)
     assert length == trace.rounds[0].baby_hit == cyc.cycle_length
+    return _traced(trace)
 
 
 def _route_ladder(ctx, x, cyc, other):
     # new squares, stored ones, a repeat and a single-bit exponent
     powers = Powers(ctx, x)
+    got = []
     for e in (cyc.order + 5, 3, 4 * cyc.order + 1, cyc.order + 5, 1, 64):
-        assert powers(e) == power(ctx, x, e)
+        got.append(powers(e))
+        assert got[-1] == power(ctx, x, e)
+    return got
 
 
 def _route_start_search(ctx, x, cyc, other):
-    assert cycle_start_search(ctx, x, cyc.cycle_length) == cyc.cycle_start
+    start = cycle_start_search(ctx, x, cyc.cycle_length)
+    assert start == cyc.cycle_start
+    return start
 
 
 def _route_least_period(ctx, x, cyc, other):
     base = power(ctx, x, cyc.cycle_start)
-    assert least_period(ctx, x, base, 12 * cyc.cycle_length) \
-        == cyc.cycle_length
+    length = least_period(ctx, x, base, 12 * cyc.cycle_length)
+    assert length == cyc.cycle_length
+    return length
 
 
 def _route_monico_strip(ctx, x, cyc, other):
-    assert monico_strip(ctx, x, cyc.cycle_start, 12 * cyc.cycle_length,
-                        100) == cyc.cycle_length
+    length = monico_strip(ctx, x, cyc.cycle_start, 12 * cyc.cycle_length,
+                          100)
+    assert length == cyc.cycle_length
+    return length
 
 
 def _route_oracle_hit(ctx, x, cyc, other):
@@ -113,18 +147,20 @@ def _route_oracle_hit(ctx, x, cyc, other):
     target = power(ctx, x, k)
     kp = group_dlog_oracle(ctx, x, target, 2 * cyc.order)
     assert power(ctx, x, kp) == target
+    return kp
 
 
 def _route_oracle_bound_too_small(ctx, x, cyc, other):
     # bound 1 lets the oracle express exponents up to 6 only, and x^order
     # equals no earlier power
-    with pytest.raises(OracleFailureError):
-        group_dlog_oracle(ctx, x, power(ctx, x, cyc.order), 1)
+    return _raised(OracleFailureError, lambda: group_dlog_oracle(
+        ctx, x, power(ctx, x, cyc.order), 1))
 
 
 def _route_brute_capped(ctx, x, cyc, other):
-    with pytest.raises(SemigroupError, match="no repeated power"):
-        brute_force_cycle(ctx, x, cap=cyc.order - 1)
+    return _raised(SemigroupError,
+                   lambda: brute_force_cycle(ctx, x, cap=cyc.order - 1),
+                   "no repeated power")
 
 
 def _route_bsgs_outside_subgroup(ctx, x, cyc, other):
@@ -133,19 +169,19 @@ def _route_bsgs_outside_subgroup(ctx, x, cyc, other):
     p = factor_integer(length)[0][0]
     gv = make_group_view(ctx, x, cyc)
     gamma = power(ctx, gv.generator, p)
-    with pytest.raises(NoSolutionError):
-        bsgs_group_dlog(ctx, gv, gamma, gv.generator, length // p)
+    return _raised(NoSolutionError, lambda: bsgs_group_dlog(
+        ctx, gv, gamma, gv.generator, length // p))
 
 
 def _route_dlog(solver, on_power):
     def route(ctx, x, cyc, other):
-        if on_power:
-            k = cyc.order + 7
-            sol, _ = solver(ctx, x, power(ctx, x, k), cyc)
-            assert sol.contains(k)
-        else:
-            with pytest.raises(NoSolutionError):
-                solver(ctx, x, other, cyc)
+        if not on_power:
+            return _raised(NoSolutionError,
+                           lambda: solver(ctx, x, other, cyc))
+        k = cyc.order + 7
+        sol, trace = solver(ctx, x, power(ctx, x, k), cyc)
+        assert sol.contains(k)
+        return sol, _traced(trace)
     return route
 
 
@@ -184,18 +220,35 @@ def _count_raw_products(ctx) -> list:
     return calls
 
 
+def _generic(ctx):
+    """`ctx`, forced onto the generic walks: one `_product` call per
+    step."""
+    ctx._walk_step = SemigroupContext._walk_step
+    return ctx
+
+
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_counter_equals_raw_products(family, route):
     x_spec, other_spec = FAMILIES[family]
-    ctx, x = parse_element_spec(x_spec)
     other = parse_element_spec(other_spec)[1]
-    cyc = brute_force_cycle(ctx, x)
-    calls = _count_raw_products(ctx)
-    ctx.mult_count = 0
-    ROUTES[route](ctx, x, cyc, other)
-    assert calls[0] > 0
-    assert ctx.mult_count == calls[0]
+    runs = []
+    for generic in (False, True):
+        ctx, x = parse_element_spec(x_spec)
+        if generic:
+            _generic(ctx)
+        cyc = brute_force_cycle(ctx, x)
+        calls = _count_raw_products(ctx)
+        ctx.mult_count = 0
+        result = ROUTES[route](ctx, x, cyc, other)
+        runs.append((result, ctx.mult_count, calls[0]))
+    (own, own_count, own_calls), (generic, generic_count, calls) = runs
+    assert calls > 0
+    assert generic_count == calls
+    assert own == generic
+    assert own_count == generic_count
+    if type(ctx)._walk_step == SemigroupContext._walk_step:
+        assert own_calls == own_count  # the family's walks are generic
 
 
 # x = 1 in MonogenicContext(3, 4): x^k is the integer k up to the order 6,
@@ -211,13 +264,17 @@ TABLE_WALKS = {
 @pytest.mark.parametrize("case", TABLE_WALKS)
 def test_table_walk_counter_equals_raw_products(case):
     start, step, n, repeat, products = TABLE_WALKS[case]
-    ctx = MonogenicContext(3, 4)
-    calls = _count_raw_products(ctx)
-    table, last, got = table_walk(ctx, start, step, n)
-    assert got == repeat
-    assert ctx.mult_count == calls[0] == products
-    assert len(table) == (repeat[1] if repeat else n + 1)
-    assert table[last] == (repeat[0] if repeat else n)
+    for generic in (False, True):
+        ctx = MonogenicContext(3, 4)
+        if generic:
+            _generic(ctx)
+        calls = _count_raw_products(ctx)
+        table, last, got = table_walk(ctx, start, step, n)
+        assert got == repeat
+        assert ctx.mult_count == products
+        assert calls[0] == (products if generic else 0)
+        assert len(table) == (repeat[1] if repeat else n + 1)
+        assert table[last] == (repeat[0] if repeat else n)
 
 
 # probes x^cur, x^(cur+step), ... against the table {x^4: 0, x^5: 1};
@@ -232,10 +289,56 @@ PROBE_WALKS = {
 @pytest.mark.parametrize("case", PROBE_WALKS)
 def test_probe_walk_counter_equals_raw_products(case):
     cur, step, n, hit, products = PROBE_WALKS[case]
-    ctx = MonogenicContext(3, 4)
+    for generic in (False, True):
+        ctx = MonogenicContext(3, 4)
+        if generic:
+            _generic(ctx)
+        calls = _count_raw_products(ctx)
+        assert probe_walk(ctx, {4: 0, 5: 1}, cur, step, n) == hit
+        assert ctx.mult_count == products
+        assert calls[0] == (products if generic else 0)
+
+
+def test_table_walk_all_keeps_every_index():
+    # x^1 .. x^6, then x^7 = x^3, x^8 = x^4, ...: 12 steps from x^1 wrap
+    # twice past the order
+    for generic in (False, True):
+        ctx = MonogenicContext(3, 4)
+        if generic:
+            _generic(ctx)
+        calls = _count_raw_products(ctx)
+        table = table_walk_all(ctx, 1, 1, 12)
+        assert table == {1: [0], 2: [1], 3: [2, 6, 10], 4: [3, 7, 11],
+                         5: [4, 8, 12], 6: [5, 9]}
+        assert ctx.mult_count == 12
+        assert calls[0] == (12 if generic else 0)
+
+
+# one walk of each kind, 20 steps that wrap past the order (monogenic) or
+# stay below a repeat (zmod, where 3 has order 100 modulo 1000)
+GUARDED_WALKS = {
+    "table_walk": lambda ctx, a, b: table_walk(ctx, a, b, 20),
+    "probe_walk": lambda ctx, a, b: probe_walk(ctx, {}, a, b, 20),
+    "table_walk_all": lambda ctx, a, b: table_walk_all(ctx, a, b, 20),
+}
+OWN_STEP_FAMILIES = {
+    "zmod": (lambda: ZModContext(1000), 2, 3),
+    "monogenic": (lambda: MonogenicContext(3, 4), 1, 1),
+}
+
+
+@pytest.mark.parametrize("walk", GUARDED_WALKS)
+@pytest.mark.parametrize("family", OWN_STEP_FAMILIES)
+def test_zmod_and_monogenic_walks_call_no_product(family, walk):
+    """The two families whose walks multiply inline: a refactor that sent
+    them back to the generic step would make one `_product` call per
+    step, and fail here."""
+    make, start, step = OWN_STEP_FAMILIES[family]
+    ctx = make()
     calls = _count_raw_products(ctx)
-    assert probe_walk(ctx, {4: 0, 5: 1}, cur, step, n) == hit
-    assert ctx.mult_count == calls[0] == products
+    GUARDED_WALKS[walk](ctx, start, step)
+    assert ctx.mult_count > 0
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("s, length", [(1, 1), (1, 2), (1, 9), (2, 1),

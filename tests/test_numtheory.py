@@ -6,6 +6,8 @@ import pytest
 from semidlog import DomainError, SemigroupError
 from semidlog.numtheory import (
     PSI_13,
+    TRIAL_DIVISION_LIMIT,
+    _trial_division,
     ceil_sqrt,
     crt_combine,
     factor_integer,
@@ -107,6 +109,30 @@ def test_factor_integer_random_round_trip():
 def test_factor_integer_large_semiprime():
     p, q = 2147483647, 2147483629
     assert factor_integer(p * q) == [(q, 1), (p, 1)]
+
+
+# primes just below and just above 10^12, the square of the trial-division
+# limit 10^6: trial division stops once the cofactor left is such a prime
+_P_BELOW, _P_ABOVE = 999999999989, 1000000000039
+
+
+@pytest.mark.parametrize("big", [_P_BELOW, _P_ABOVE])
+@pytest.mark.parametrize("u, u_factors", [
+    (1, []),
+    (168, [(2, 3), (3, 1), (7, 1)]),
+    (2 ** 20, [(2, 20)]),
+    (991 * 997, [(991, 1), (997, 1)]),
+    (1000003, [(1000003, 1)]),  # above the limit: rho splits u*P
+    (7 * 1000003, [(7, 1), (1000003, 1)]),
+])
+def test_factor_integer_rough(u, u_factors, big):
+    assert is_prime(big)
+    assert factor_integer(u * big) == sorted(u_factors + [(big, 1)])
+    if u < TRIAL_DIVISION_LIMIT:
+        # the trial division itself stops at the prime cofactor
+        assert _trial_division(u * big, TRIAL_DIVISION_LIMIT,
+                               stop_at_prime=True) == (
+            u_factors + [(big, 1)], 1)
 
 
 def test_factor_integer_rejects_out_of_range():

@@ -4,7 +4,9 @@ Five properties, each checked on small drawn instances of every family:
 every cycle algorithm agrees with brute force, both dlog solvers recover
 the solution set of a drawn exponent, the fixed-base ladder agrees with
 `power` at the cost of its new squares, keys are injective, and element
-specs round-trip through emit and parse.  Two more feed JSON-like junk to
+specs round-trip through emit and parse.  A sixth checks, on zmod and
+monogenic, that the collision walks with the family's own product step
+agree with the generic walks.  Two more feed JSON-like junk to
 `parse_element_spec` and `make_context` and check that only typed
 `SemigroupError`s escape.  Runs are derandomized, so a failure reproduces
 on every run.
@@ -16,12 +18,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from semidlog import (  # noqa: E402
     CYCLE_ALGORITHMS,
     DLOG_SOLVERS,
+    SemigroupContext,
     SemigroupError,
     brute_force_cycle,
     find_cycle,
@@ -32,6 +35,7 @@ from semidlog import (  # noqa: E402
 )
 from semidlog.core import Powers  # noqa: E402
 from semidlog.instances import FAMILIES  # noqa: E402
+from semidlog.selftest import walk_results  # noqa: E402
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -153,6 +157,35 @@ def test_spec_round_trip(family, data):
     assert x2 == x
     assert ctx2.key(x2) == ctx.key(x)
     assert ctx2.element_json(x2) == doc
+
+
+def _walk_case(family):
+    """Strategy for (family, params, start, step, n, probe keys)."""
+    return _params(family).flatmap(lambda params: st.tuples(
+        st.just(family), st.just(params), _element(family, params),
+        _element(family, params), st.integers(0, 60),
+        st.lists(_element(family, params), max_size=8)))
+
+
+@PROPERTY
+@given(case=_walk_case("zmod") | _walk_case("monogenic"))
+@example(case=("zmod", {"modulus": 10}, 3, 7, 0, []))  # n = 0
+@example(case=("monogenic", {"s": 3, "L": 4}, 6, 6, 0, [6]))  # n = 0
+@example(case=("zmod", {"modulus": 12}, 4, 1, 5, [4]))  # repeat at step 1
+@example(case=("monogenic", {"s": 3, "L": 4}, 6, 4, 5, [2]))  # repeat at 1
+@example(case=("monogenic", {"s": 2, "L": 5}, 4, 3, 20, [3, 6]))  # wraps
+@example(case=("monogenic", {"s": 1, "L": 200}, 150, 199, 60, [1]))
+def test_own_walks_match_generic_walks(case):
+    """The walks with zmod's and monogenic's own product step return the
+    generic walks' tables, last values, repeats and hits, and add the same
+    counts."""
+    family, params, start, step, n, probe_keys = case
+    own = make_context(family, params)
+    generic = make_context(family, params)
+    generic._walk_step = SemigroupContext._walk_step
+    assert type(own)._walk_step != generic._walk_step
+    assert (walk_results(own, start, step, n, probe_keys)
+            == walk_results(generic, start, step, n, probe_keys))
 
 
 # JSON-like junk

@@ -121,6 +121,44 @@ MORE_ENTRY_CASES = {
         lambda: random_element("zmod", {"modulus": 7}, [1]),
 }
 
+# a context that is not a SemigroupContext, or a group view that is not a
+# GroupView, once leaked AttributeError; each public function that takes
+# one raises DomainError
+FOREIGN_ARGUMENT_CASES = {
+    "power-none": lambda: power(None, 1, 2),
+    "multiply-object": lambda: multiply(object(), 1, 2),
+    "canonical_key-none": lambda: canonical_key(None, 1),
+    "find_cycle-family-name":
+        lambda: find_cycle("zmod", 1, "deterministic"),
+    "find_cycle-brute-family-name": lambda: find_cycle("zmod", 1, "brute"),
+    "cycle_structure-none": lambda: cycle_structure(None, 1),
+    "brute_force_cycle-none": lambda: brute_force_cycle(None, 1),
+    "deterministic_cycle_length-none":
+        lambda: deterministic_cycle_length(None, 1),
+    "monico_cycle_length-none": lambda: monico_cycle_length(None, 1),
+    "banin_tsaban_cycle_length-none":
+        lambda: banin_tsaban_cycle_length(None, 1),
+    "cycle_start_search-none": lambda: cycle_start_search(None, 1, 2),
+    "least_period-none": lambda: least_period(None, 1, 1, 2),
+    "monico_strip-none": lambda: monico_strip(None, 1, 1, 2, 10),
+    "group_dlog_oracle-none": lambda: group_dlog_oracle(None, 1, 1, 4),
+    "make_group_view-none":
+        lambda: make_group_view(None, 2, CycleStructure(2, 20)),
+    "semigroup_dlog-none":
+        lambda: semigroup_dlog(None, 2, 4, CycleStructure(2, 20)),
+    "pohlig_hellman_dlog-none":
+        lambda: pohlig_hellman_dlog(None, 2, 4, CycleStructure(2, 20)),
+    "in_group-none-view": lambda: in_group(_zmod(), None, 1),
+    "in_group-none-context": lambda: in_group(None, _view(), 1),
+    "bsgs_group_dlog-string-view":
+        lambda: bsgs_group_dlog(_zmod(), "gv", 52, 68, 20),
+    "bsgs_group_dlog-none-context":
+        lambda: bsgs_group_dlog(None, _view(), 52, 68, 20),
+    "inverse_in_group-int-view": lambda: inverse_in_group(_zmod(), 5, 3),
+    "inverse_in_group-none-context":
+        lambda: inverse_in_group(None, _view(), 3),
+}
+
 # name -> a call with junk values; these store their arguments unchecked
 RECORDS = {
     "Alg4Trace": lambda: Alg4Trace(rounds="junk"),
@@ -160,6 +198,12 @@ def test_malformed_input_raises_a_typed_error(name):
 def test_more_malformed_inputs_raise_typed_errors(name):
     with pytest.raises(SemigroupError):
         MORE_ENTRY_CASES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_ARGUMENT_CASES))
+def test_foreign_context_or_view_raises_domain_error(name):
+    with pytest.raises(DomainError):
+        FOREIGN_ARGUMENT_CASES[name]()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
