@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=10 ** 4, metavar="N",
                          help="divisor bound for monico stripping")
     p_cycle.add_argument("--rounds", metavar="r,s", default=None,
-                         help="inner,outer round counts for banin-tsaban")
+                         help="inner,outer round counts for banin-tsaban "
+                              "(default 4,3)")
     p_cycle.add_argument("--no-verify", action="store_true",
                          help="skip the exactness verification of the result")
     common(p_cycle)

@@ -296,10 +296,12 @@ def table_walk(ctx: SemigroupContext, start, step, n: int):
 
 
 def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
-    """First i in 1..n (n >= 1) with cur*step^(i-1) in `table`, as
-    (i, table value), or None.  Adds the products made, i - 1 or n - 1, to
-    the counter once, at the exit.
+    """First i in 1..n with cur*step^(i-1) in `table`, as (i, table
+    value), or None.  Adds the products made, i - 1 or n - 1, to the
+    counter once, at the exit.  DomainError unless n is an integer >= 1.
     """
+    if check_int(n, "n") < 1:
+        raise DomainError(f"probe_walk needs n >= 1, got {n}")
     return _walks(ctx._walk_step).probe_walk(ctx, table, cur, step, n)
 
 

@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from itertools import accumulate, chain, cycle
 
 from .core import DomainError, check_int
 
-# Miller-Rabin with the first 13 prime bases is deterministic below
-# psi_13, the least strong pseudoprime to all of them (Sorenson and
-# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
-# 2017).  The first 12 bases alone fail at psi_12 =
+# psi_k is the least strong pseudoprime to all of the first k prime
+# bases, so Miller-Rabin with those k bases is deterministic below psi_k
+# and is_prime uses the least such k.  psi_1..psi_8 are tabulated by
+# Jaeschke ("On strong pseudoprimes to several bases", Math. Comp. 61,
+# 1993), psi_9 = psi_10 = psi_11 proved by Jiang and Deng (Math. Comp. 83,
+# 2014), and psi_12, psi_13 by Sorenson and Webster ("Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017); psi_12 =
 # 318665857834031151167461 = 399165290221 * 798330580441.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI_13 = 3317044064679887385961981
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051,
+       318665857834031151167461, 3317044064679887385961981)
+PSI_13 = PSI[-1]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -37,7 +45,8 @@ def ceil_sqrt(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < PSI_13; DomainError from there."""
+    """Deterministic Miller-Rabin for n < PSI_13, with the first k prime
+    bases for the least k with n < psi_k; DomainError from PSI_13 on."""
     if n < 2:
         return False
     if n >= PSI_13:
@@ -53,7 +62,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:bisect_right(PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -105,9 +105,8 @@ def _flags(bound, divisor_bound, rounds):
 
 def _library_cycle(ctx, x, alg, bound, divisor_bound, rounds, seed):
     """Each algorithm called directly with the CLI's documented defaults:
-    --B 10^4, and for banin-tsaban a starting bound of 16 and rounds 4,
-    with the outer count derived from the bound.  Returns (start, length,
-    trace or None)."""
+    --B 10^4, and for banin-tsaban a starting bound of 16 and rounds 4,3.
+    Returns (start, length, trace or None)."""
     if alg == "brute":
         cyc = brute_force_cycle(ctx, x)
         return cyc.cycle_start, cyc.cycle_length, None

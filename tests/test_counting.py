@@ -22,11 +22,13 @@ import pytest
 
 from semidlog import (
     CYCLE_ALGORITHMS,
+    DomainError,
     MonogenicContext,
     NoSolutionError,
     OracleFailureError,
     SemigroupContext,
     SemigroupError,
+    TransformationContext,
     ZModContext,
     brute_force_cycle,
     bsgs_group_dlog,
@@ -297,6 +299,17 @@ def test_probe_walk_counter_equals_raw_products(case):
         assert probe_walk(ctx, {4: 0, 5: 1}, cur, step, n) == hit
         assert ctx.mult_count == products
         assert calls[0] == (products if generic else 0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, True])
+def test_probe_walk_rejects_n_below_one(n):
+    # zmod's own walk and the generic walk of a degree-2 transformation
+    for ctx, x in ((ZModContext(10), 3), (TransformationContext(2), (1, 0))):
+        with pytest.raises(DomainError):
+            probe_walk(ctx, {}, x, x, n)
+        assert ctx.mult_count == 0
+        assert probe_walk(ctx, {}, x, x, 1) is None
+        assert ctx.mult_count == 0
 
 
 def test_table_walk_all_keeps_every_index():

@@ -590,6 +590,24 @@ def test_banin_doubles_past_late_cycle_starts():
     assert trace.failed_bounds and trace.failed_bounds[0] == 4
 
 
+@pytest.mark.parametrize("bound", [None, 16, 4 ** 5, 4 ** 10])
+def test_banin_default_rounds_are_4_and_3(bound):
+    # the accepting attempt runs 3 outer rounds at every bound; the rule
+    # it replaced ran ceil(log2 log2 bound) + 1: 5 at 4^5, 6 at 4^10
+    start = {} if bound is None else {"bound": bound}
+    ctx = MonogenicContext(37, 360)
+    length, trace = banin_tsaban_cycle_length(ctx, 1, outer_rounds=None,
+                                              seed=7, **start)
+    assert length == 360
+    assert len(trace.rounds) == 3
+    assert all(len(r.pairs) == 4 for r in trace.rounds)
+    default, explicit = [
+        find_cycle(MonogenicContext(37, 360), 1, "banin-tsaban", bound,
+                   rounds=rounds, seed=7) for rounds in (None, (4, 3))]
+    assert default[0] == explicit[0]
+    assert default[1].to_json() == explicit[1].to_json()
+
+
 def test_banin_reproducible_per_seed():
     runs = []
     for _ in range(2):

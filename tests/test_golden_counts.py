@@ -73,10 +73,12 @@ CYCLE_CASES = {
     ("zmod", "monico", None): (3, 100, 119),
     # algorithm 97 -> 58, start search 17 -> 15
     ("zmod", "monico", 102): (3, 100, 73),
-    # algorithm 791 -> 474, start search 17 -> 15
-    ("zmod", "banin-tsaban", None): (3, 100, 489),
-    # algorithm 594 -> 342, start search 17 -> 15
-    ("zmod", "banin-tsaban", 102): (3, 100, 357),
+    # algorithm 791 -> 474, start search 17 -> 15; outer rounds default
+    # 3: algorithm 474 -> 372 (accepts at 256, as before)
+    ("zmod", "banin-tsaban", None): (3, 100, 387),
+    # algorithm 594 -> 342, start search 17 -> 15; outer rounds default
+    # 3: algorithm 342 -> 265
+    ("zmod", "banin-tsaban", 102): (3, 100, 280),
     # algorithm 45 -> 29, start search 14 -> 12
     ("matmod", "deterministic", None): (3, 18, 41),
     # algorithm 22 -> 16, start search 14 -> 12
@@ -87,8 +89,10 @@ CYCLE_CASES = {
     ("matmod", "monico", 20): (3, 18, 40),
     # algorithm 208 -> 111, start search 14 -> 12
     ("matmod", "banin-tsaban", None): (3, 18, 123),
-    # algorithm 285 -> 159, start search 14 -> 12
-    ("matmod", "banin-tsaban", 20): (3, 18, 171),
+    # algorithm 285 -> 159, start search 14 -> 12; outer rounds default
+    # 3: algorithm 159 -> 306 (three rounds at 20 reach lcm 6, where the
+    # fourth made it 18; accepts at 80)
+    ("matmod", "banin-tsaban", 20): (3, 18, 318),
     # algorithm 10 -> 8, start search 11 -> 9
     ("boolmat", "deterministic", None): (4, 3, 17),
     # algorithm 6 -> 6, start search 11 -> 9
@@ -121,10 +125,13 @@ CYCLE_CASES = {
     ("monogenic", "monico", None): (37, 360, 230),
     # algorithm 102 -> 63, start search 76 -> 36
     ("monogenic", "monico", 396): (37, 360, 99),
-    # algorithm 1860 -> 1225, start search 76 -> 36
-    ("monogenic", "banin-tsaban", None): (37, 360, 1261),
-    # algorithm 992 -> 619, start search 76 -> 36
-    ("monogenic", "banin-tsaban", 396): (37, 360, 655),
+    # algorithm 1860 -> 1225, start search 76 -> 36; outer rounds default
+    # 3: algorithm 1225 -> 880 (accepts at 1024, as before)
+    ("monogenic", "banin-tsaban", None): (37, 360, 916),
+    # algorithm 992 -> 619, start search 76 -> 36; outer rounds default
+    # 3: algorithm 619 -> 2146 (three rounds at 396 reach lcm 90, where
+    # five made it 360, and three at 1584 do not verify; accepts at 6336)
+    ("monogenic", "banin-tsaban", 396): (37, 360, 2182),
 }
 
 # (family, k, solver) -> (solution JSON or None for no solution, mults);
@@ -189,28 +196,28 @@ DLOG_CASES = {
 # the products are made may change what the rounds cost, never what they
 # draw or what the oracle answers
 BANIN_ROUNDS = {
+    # outer rounds default 3: the fourth round is dropped
     ("zmod", None): [
         (152, [(444, 19), (286, 11), (366, 16), (276, 1)], 25),
         (150, [(479, 1), (471, 1), (292, 2), (380, 2)], 2),
         (151, [(474, 74), (287, 87), (320, 20), (371, 71)], 100),
-        (143, [(460, 60), (282, 82), (370, 70), (280, 80)], 100),
     ],
+    # outer rounds default 3: the fourth round is dropped
     ("zmod", 102): [
         (71, [(122, 22), (153, 53), (186, 86), (109, 9)], 100),
         (55, [(171, 11), (115, 15), (149, 9), (177, 17)], 20),
         (54, [(167, 17), (130, 30), (107, 7), (114, 14)], 50),
-        (78, [(156, 6), (111, 11), (133, 33), (114, 14)], 50),
     ],
     ("matmod", None): [
         (13, [(21, 3), (29, 11), (18, 18), (19, 1)], 18),
         (16, [(20, 2), (28, 1), (18, 9), (23, 5)], 9),
         (8, [(19, 1), (30, 3), (30, 3), (19, 1)], 9),
     ],
+    # outer rounds default 3: accepts at 80, not 20
     ("matmod", 20): [
-        (15, [(25, 1), (33, 3), (22, 4), (23, 5)], 6),
-        (18, [(24, 1), (32, 1), (39, 1), (22, 1)], 1),
-        (18, [(27, 1), (22, 1), (23, 1), (34, 1)], 1),
-        (16, [(23, 5), (28, 1), (23, 5), (38, 2)], 9),
+        (66, [(89, 2), (111, 3), (92, 2), (151, 1)], 3),
+        (67, [(88, 16), (153, 9), (96, 6), (109, 1)], 18),
+        (80, [(155, 2), (88, 7), (154, 1), (155, 2)], 9),
     ],
     ("boolmat", None): [
         (13, [(21, 3), (29, 2), (18, 3), (19, 1)], 3),
@@ -232,19 +239,17 @@ BANIN_ROUNDS = {
         (5, [(20, 6), (13, 6), (17, 3), (21, 7)], 7),
         (5, [(20, 6), (15, 1), (12, 5), (13, 6)], 7),
     ],
+    # outer rounds default 3: the fourth and fifth rounds are dropped
     ("monogenic", None): [
         (638, [(1482, 42), (1151, 71), (1837, 37), (1126, 46)], 360),
         (738, [(1120, 20), (1297, 17), (1618, 18), (1883, 3)], 20),
         (659, [(1266, 186), (1656, 216), (1395, 315), (1236, 156)], 360),
-        (704, [(1787, 32), (1224, 9), (1153, 28), (1147, 22)], 45),
-        (722, [(2041, 61), (1900, 100), (1668, 48), (1978, 178)], 180),
     ],
+    # outer rounds default 3: accepts at 6336, not 396
     ("monogenic", 396): [
-        (280, [(474, 6), (599, 5), (730, 1), (421, 7)], 9),
-        (216, [(671, 1), (445, 5), (584, 4), (695, 5)], 10),
-        (212, [(656, 26), (506, 56), (416, 56), (441, 81)], 90),
-        (309, [(611, 11), (432, 72), (520, 40), (443, 83)], 120),
-        (339, [(614, 14), (427, 67), (686, 86), (460, 100)], 120),
+        (5531, [(11133, 333), (9586, 226), (6743, 263), (8148, 228)], 720),
+        (3358, [(10897, 97), (7427, 47), (8709, 69), (9770, 50)], 180),
+        (3758, [(10766, 146), (7301, 101), (11013, 33), (8864, 44)], 180),
     ],
 }
 

@@ -5,6 +5,7 @@ import pytest
 
 from semidlog import DomainError, SemigroupError
 from semidlog.numtheory import (
+    PSI,
     PSI_13,
     TRIAL_DIVISION_LIMIT,
     _trial_division,
@@ -23,7 +24,7 @@ def test_ceil_sqrt():
 
 
 def test_is_prime_small_range_against_sieve():
-    limit = 2000
+    limit = 10 ** 5
     sieve = [True] * limit
     sieve[0] = sieve[1] = False
     for i in range(2, int(limit ** 0.5) + 1):
@@ -39,6 +40,30 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(1729)
     assert is_prime(2 ** 31 - 1)      # Mersenne prime
     assert not is_prime(2 ** 29 - 1)  # 233 * 1103 * 2089
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_rejects_every_psi_k(k):
+    # psi_k passes the first k prime bases, so is_prime must run more
+    # than k of them to reject it
+    psi_k = PSI[k - 1]
+    assert all(_strong_probable_prime(psi_k, a)
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:k])
+    assert not is_prime(psi_k)
 
 
 def test_is_prime_past_twelve_bases():
