@@ -83,8 +83,12 @@ def _check_bounds(args):
 
 def _emit(payload: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ElementSpecError(f"cannot write output file: {exc}",
+                                   "--out")
     else:
         sys.stdout.write(payload)
 
@@ -92,18 +96,18 @@ def _emit(payload: str, out_path: str | None):
 def _verify_cycle(ctx, x, start, length) -> str | None:
     """Cheap exactness check of a reported (start, length) pair.
 
-    Confirms the defining equality, the minimality of the start, and the
-    minimality of the length by its prime-cofactor reduction.  Returns an
-    error string on failure.
+    Confirms the minimality of the start; least_period then confirms the
+    defining equality and the minimality of the length, and its refusal
+    is a failure too.  Returns an error string on failure.
     """
-    anchor = power(ctx, x, start)
-    if ctx.mul(power(ctx, x, length), anchor) != anchor:
-        return f"x^{start + length} != x^{start}: reported length is not a period"
     if start > 1:
         prev = power(ctx, x, start - 1)
         if ctx.mul(power(ctx, x, length), prev) == prev:
             return f"cycle start {start} is not minimal"
-    least = least_period(ctx, x, anchor, length)
+    try:
+        least = least_period(ctx, x, power(ctx, x, start), length)
+    except SemigroupError as exc:
+        return str(exc)
     if least != length:
         return (f"reported length {length} is a proper multiple: "
                 f"x^{start + least} = x^{start}")
@@ -262,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycle.add_argument("--alg", choices=CYCLE_ALGORITHMS,
                          default="deterministic")
     p_cycle.add_argument("--bound", type=int, default=None,
-                         help="known upper bound on the order; forces a "
-                              "single round instead of growing the bound "
-                              "x4 per round")
+                         help="known upper bound on the order: one round "
+                              "at it, not bounds growing x4 (banin-tsaban: "
+                              "the first bound of its x4 schedule)")
     p_cycle.add_argument("--B", dest="divisor_bound", type=int,
                          default=10 ** 4, metavar="N",
                          help="divisor bound for monico stripping")

@@ -77,9 +77,8 @@ class SemigroupContext(ABC):
     `table_walk_all`, make their products without `mul` and add them to
     the counter in one step per exit, so inside one it is updated only at
     that exit.  Only a family whose product raises can leave it wrong:
-    short by the products made so far, or, in `power`, which counts before
-    it multiplies, ahead.  `mul` stays the one counted single product, for
-    code outside the bulk counters.
+    short by the products made so far.  `mul` stays the one counted single
+    product, for code outside the bulk counters.
 
     The walks come from one template (`_WALK_TEMPLATE`), instantiated per
     family from `_walk_step` on first use.  The default step calls
@@ -155,14 +154,13 @@ def power(ctx: SemigroupContext, x, e: int):
     """x^e by square and multiply, for e >= 1.
 
     Uses exactly (bit_length(e) - 1) + (popcount(e) - 1) multiplications,
-    which is at most 2*floor(log2 e) + 1, added to the counter up front.
+    which is at most 2*floor(log2 e) + 1, added to the counter at the exit.
     e = 0 is rejected: a semigroup has no identity to return.
     """
     check_context(ctx)
-    if not isinstance(e, int) or e < 1:
+    if check_int(e, "exponent") < 1:
         raise SemigroupError(f"exponent must be a positive integer, got {e!r} "
                              "(no identity element exists for x^0)")
-    ctx.mult_count += e.bit_length() + e.bit_count() - 2
     prod = ctx._product
     result = None
     base = x
@@ -172,6 +170,7 @@ def power(ctx: SemigroupContext, x, e: int):
             result = base if result is None else prod(result, base)
         k >>= 1
         if not k:
+            ctx.mult_count += e.bit_length() + e.bit_count() - 2
             return result
         base = prod(base, base)
 
@@ -194,7 +193,7 @@ class Powers:
         self.squares = [x]
 
     def __call__(self, e: int):
-        if not isinstance(e, int) or e < 1:
+        if check_int(e, "exponent") < 1:
             raise SemigroupError(f"exponent must be a positive integer, "
                                  f"got {e!r}")
         squares = self.squares

@@ -194,8 +194,7 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
         "at least max(cycle start, cycle length)")
 
 
-def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
-                       max_start: int = _DOUBLING_CAP) -> int:
+def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int) -> int:
     """Cycle start via doubling then bisection, given the true cycle length.
 
     The predicate "x^(c + L) = x^c" holds exactly for c >= cycle start
@@ -203,9 +202,9 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     length, so a Monico-style overshoot still yields the correct start).
     Costs O((log N)^2) multiplications: the probes x^c come from one
     ladder of x, so a doubling probe is a square and a bisection probe
-    costs popcount(c) - 1 products.  `max_start` guards against a
-    candidate L that is not a multiple of the true cycle length, for which
-    the predicate never holds.
+    costs popcount(c) - 1 products.  For a candidate L that is not a
+    multiple of the true cycle length the predicate never holds, and the
+    doubling stops past _DOUBLING_CAP with SemigroupError.
     """
     check_context(ctx).validate(x)
     if check_int(cycle_length, "cycle_length") < 1:
@@ -220,31 +219,34 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int,
     s = 1
     while not holds(s):
         s *= 2
-        if s > max_start:
+        if s > _DOUBLING_CAP:
             raise SemigroupError(
-                f"x^(c+{cycle_length}) never equals x^c for c <= {max_start}; "
+                f"x^(c+{cycle_length}) != x^c for all c <= {_DOUBLING_CAP}; "
                 "the supplied cycle length is not a multiple of the true one")
     return first_true(holds, s // 2, s)
 
 
 def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
-    """The cycle length, from a multiple g of it verified at an in-cycle
-    element `base` (so x^g * base = base).
+    """The cycle length, from a multiple g of it at an in-cycle element
+    `base`; SemigroupError unless x^g * base = base, checked first.
 
     Prime-cofactor reduction: for each prime p of g in ascending order,
     divide g by p while x^(g/p) * base = base still holds.  The periods of
     `base` are exactly the multiples of the cycle length, so what remains
-    is the least one.  Costs at most one check per prime factor of g,
-    counted with multiplicity, plus one per distinct prime; the checks
-    take their powers of x from one ladder.
+    is the least one.  Costs the entry check and at most one check per
+    prime factor of g, counted with multiplicity, plus one per distinct
+    prime; the checks take their powers of x from one ladder.
     """
     check_context(ctx).validate(x)
     ctx.validate(base)
-    return _least_period(ctx, Powers(ctx, x), base, g)
+    powers = Powers(ctx, x)
+    if ctx.mul(powers(g), base) != base:
+        raise SemigroupError(f"{g} is not a period: x^{g} * base != base")
+    return _least_period(ctx, powers, base, g)
 
 
 def _least_period(ctx, powers, base, g):
-    """least_period with the powers of x taken from the ladder `powers`."""
+    """least_period, past its entry check, with the ladder `powers`."""
     try:
         primes = factor_integer(g)
     except ValueError as exc:
@@ -298,8 +300,6 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
         if g % d:
             continue
         cand = g // d
-        if cand < 1:
-            continue
         if ctx.mul(powers(cand), base) == base:
             g = cand
             if record is not None:

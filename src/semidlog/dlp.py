@@ -6,15 +6,14 @@ t = ceil(s/L) and whose generator is x' = x^(tL+1).  GroupView packages
 that data.  Both solvers share one reduction along the rho shape.  A
 target y with y*x^L != y lies off the cycle, so only a unique m < s can
 solve it: a walk over x, ..., x^(s-1) settles it when s - 1 <=
-ceil(sqrt(L)) and the walk costs no more than the group log it replaces.
-Any other target is shifted into the group by one binary search, and a
-shifted target y' with y'^L != x^(tL) is no group element (Lagrange), so
-no power, at a cost of O(log L).  What remains is one discrete log in the
-group, taken over a split of L: semigroup_dlog uses [(L, 1)], a single
-BSGS run, and pohlig_hellman_dlog the prime factorization of L, with
-base-p digits per prime power.  Both return the complete solution set: a
-unique exponent below the cycle start, or an arithmetic progression with
-period L.
+ceil(sqrt(L)).  Any other target is shifted into the group by one binary
+search, and a shifted target y' with y'^L != x^(tL) is no group element
+(Lagrange), so no power, at a cost of O(log L).  What remains is one
+discrete log in the group, taken over a split of L: semigroup_dlog uses
+[(L, 1)], a single BSGS run, and pohlig_hellman_dlog the prime
+factorization of L, with base-p digits per prime power.  Both return the
+complete solution set: a unique exponent below the cycle start, or an
+arithmetic progression with period L.
 
 Integer factorization and CRT support live in `numtheory` and are
 re-exported here for convenience.
@@ -217,19 +216,16 @@ def _shift_into_group(ctx, gv, y):
     for a y outside the group.
 
     The predicate is monotone in b (the shift pushes the implicit exponent
-    of y past the cycle start); its failure at b = t means y is not a
-    power of the base at all.  A group element g has g*x^L = g, so every
-    shift that enters the group yields the same product y*x^(tL), y times
-    the identity.  The probes x^(bL) come from one ladder of x^L.
+    of y past the cycle start) and holds at b = t for every y: since
+    tL >= s, y' = y*x^(tL) has y'*x^L = y*x^((t+1)L) = y'.  A group
+    element g has g*x^L = g, so every shift that enters the group yields
+    the same product y', y times the identity.  The probes x^(bL) come
+    from one ladder of x^L.
     """
-    y_prime = ctx.mul(y, gv.identity)
-    if not _in_group(ctx, gv, y_prime):
-        raise NoSolutionError("y*x^(tL) never enters the group; "
-                              "y is not a power of the base")
     shifts = Powers(ctx, gv.cycle_power)
     b = first_true(lambda b: _in_group(ctx, gv, ctx.mul(y, shifts(b))), 0,
                    gv.t)
-    return b, y_prime
+    return b, ctx.mul(y, gv.identity)
 
 
 def _group_log(ctx, gv, y_prime, factorization, records):
@@ -269,10 +265,7 @@ def _solve(ctx, x, y, cycle, factorization, trace, records):
 
     A y with y*x^L != y is off the cycle, so only a unique m < s can
     solve it.  The walk x, ..., x^(s-1) finds it or proves there is none
-    when s - 1 <= ceil(sqrt(L)), the baby steps of a one-part split, and
-    s - 1 <= the sum over the split's (p, e) of e * (ceil(sqrt(p)) +
-    2 * bit_length(L)), what its digits spend at least on baby steps and
-    powers; so it never costs more than the group log it replaces.
+    when s - 1 <= ceil(sqrt(L)), the baby steps of a one-part split.
     Otherwise shift y into the group (binary search for b) and
     reject a y' with y'^L != x^(tL), which no group element is, in about
     2 log2 L multiplications.  Then take m' = log of y' to the base x'
@@ -286,9 +279,7 @@ def _solve(ctx, x, y, cycle, factorization, trace, records):
     s, length = cycle.cycle_start, cycle.cycle_length
     if _in_group(ctx, gv, y):
         b, y_prime = 0, y
-    elif s - 1 <= min(ceil_sqrt(length), sum(
-            e * (ceil_sqrt(p) + 2 * length.bit_length())
-            for p, e in factorization)):
+    elif s - 1 <= ceil_sqrt(length):
         hit = probe_walk(ctx, {y: 0}, x, x, s - 1) if s > 1 else None
         if hit is None:
             raise NoSolutionError("y is off the cycle and no power x^m "
@@ -336,9 +327,8 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     BSGS runs in the order-p subgroups (at most ceil(sqrt(p)) + 1 table
     entries each) take the base-p digits of each p^e, and the CRT joins
     the residues, so both solvers return identical solution sets.  The
-    same O(log L) non-member exit runs before any digit, and the tail walk
-    only where it is cheaper than the digits: s - 1 <= ceil(sqrt(L)) and
-    s - 1 <= sum of e * (ceil(sqrt(p)) + 2 * bit_length(L)).
+    same O(log L) non-member exit runs before any digit, and the same tail
+    walk where s - 1 <= ceil(sqrt(L)).
     Raises SemigroupError when L cannot be factored.
     """
     try:

@@ -492,9 +492,10 @@ def make_context(family: str, params: dict) -> SemigroupContext:
 def parse_element_spec(text):
     """Parse an element spec document into (context, element).
 
-    `text` may be a JSON string or an already-decoded dict.  Errors carry
-    the position of the offending field; malformed JSON reports line and
-    column from the decoder.
+    `text` may be a JSON string or an already-decoded dict.  The first
+    field, in document order, that `element_json` does not write is an
+    error.  Errors carry the position of the offending field; malformed
+    JSON reports line and column from the decoder.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -514,7 +515,12 @@ def parse_element_spec(text):
         doc = text
     if not isinstance(doc, dict):
         raise ElementSpecError("element spec must be a JSON object")
-    return _context_class(doc.get("type")).from_spec(doc)
+    ctx, element = _context_class(doc.get("type")).from_spec(doc)
+    written = ctx.element_json(element)
+    for key in doc:
+        if key not in written:
+            raise ElementSpecError(f"unknown field {key!r}", f"$.{key}")
+    return ctx, element
 
 
 def random_element(family: str, params: dict, seed: int):

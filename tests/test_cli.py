@@ -194,6 +194,20 @@ def test_cycle_unfactorable_length_exits_3(capsys, monkeypatch):
     assert "cannot reduce" in err
 
 
+def test_cycle_non_minimal_start_exits_3(capsys, monkeypatch):
+    # 2 mod 100 has s = 2, L = 20: a reported start of 3 fails the
+    # start-minimality check, since x^(2+20) = x^2
+    import semidlog.cli
+    from semidlog import CycleStructure
+
+    monkeypatch.setattr(semidlog.cli, "find_cycle",
+                        lambda *args: (CycleStructure(3, 20), None))
+    code, out, err = run_cli(["cycle", ZMOD2], capsys)
+    assert code == 3
+    assert "VERIFICATION FAILED: cycle start 3 is not minimal" in out
+    assert "cycle start 3 is not minimal" in err
+
+
 def test_cycle_monico_huge_bound_stops_at_first_duplicate():
     # m = 10^10 giant steps at this bound, but x^m is the idempotent, so
     # the walk repeats at its first step; a subprocess with a timeout, so
@@ -242,6 +256,14 @@ def test_dlog_unique_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["solution"] == {"kind": "unique", "m": 5}
+
+
+def test_dlog_unique_text(capsys):
+    code, out, _ = run_cli(
+        ["dlog", '{"type":"monogenic","s":10,"L":15,"e":1}',
+         '{"type":"monogenic","s":10,"L":15,"e":5}'], capsys)
+    assert code == 0
+    assert "solution: unique m=5\n" in out
 
 
 def test_dlog_pohlig_hellman_agrees(capsys):
@@ -296,6 +318,10 @@ def test_spec_integer_past_digit_limit_exit_2(capsys):
     ["bench", "--family", "matmod", "--sizes", "1", "--dim", "0"],
     ["bench", "--family", "boolmat", "--sizes", "1", "--dim", "0"],
     ["bench", "--family", "transformation", "--sizes", "300"],
+    ["bench", "--family", "zmod", "--sizes", "12x"],
+    ["cycle", "--alg", "banin-tsaban", "--rounds", "3", ZMOD2],
+    ["cycle", "--alg", "banin-tsaban", "--rounds", "0,1", ZMOD2],
+    ["cycle", '{"type":"monogenic","s":5,"L":12,"E":3}'],
 ], ids=lambda args: " ".join(a for a in args if not a.startswith("{")))
 def test_out_of_range_arguments_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -326,6 +352,23 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["cycle"]["cycle_length"] == 20
+
+
+@pytest.mark.parametrize("command", [
+    ["cycle", ZMOD2],
+    ["dlog", ZMOD2, ZMOD68],
+    ["bench", "--family", "zmod", "--sizes", "100"],
+    ["selftest"],
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+def test_out_file_that_cannot_be_written_exits_2(command, where, tmp_path,
+                                                 capsys):
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    code, out, err = run_cli([*command, "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ")
+    assert err.endswith("(at --out)\n")
 
 
 def test_selftest_passes(capsys):

@@ -91,7 +91,7 @@ def test_power_zero_exponent_rejected():
 def test_ladder_rejects_exponents_below_one_and_keeps_its_squares():
     ctx = ZModContext(100)
     powers = Powers(ctx, 3)
-    for e in (0, -3, "2"):
+    for e in (0, -3, "2", True):
         with pytest.raises(SemigroupError):
             powers(e)
     assert powers(1) == 3 and ctx.mult_count == 0

@@ -276,8 +276,9 @@ def test_cycle_start_accepts_length_multiples():
 
 
 def test_cycle_start_rejects_non_multiples():
-    with pytest.raises(SemigroupError):
-        cycle_start_search(ZModContext(100), 2, 13, max_start=1 << 20)
+    # the doubling gives up past 2^62, 62 squarings in
+    with pytest.raises(SemigroupError, match="not a multiple"):
+        cycle_start_search(ZModContext(100), 2, 13)
 
 
 def test_cycle_start_multiplication_envelope(instance_pool):
@@ -303,15 +304,23 @@ def test_least_period_reduces_a_verified_multiple():
 
 
 def test_least_period_exact_input_costs_one_check_per_prime():
-    # each check is x^(g/p) from one ladder of x (the squares up to the
-    # largest g/p once, then popcount - 1 products) times the base
+    # each check is x^e from one ladder of x (the squares up to the
+    # largest e once, then popcount - 1 products) times the base: the
+    # entry check that g = 360 is a period, then one check per prime
     ctx = MonogenicContext(1, 360)
     base = power(ctx, 1, 3)
     ctx.mult_count = 0
     assert least_period(ctx, 1, base, 360) == 360
-    checks = (360 // 2, 360 // 3, 360 // 5)
+    checks = (360, 360 // 2, 360 // 3, 360 // 5)
     assert ctx.mult_count == max(checks).bit_length() - 1 + sum(
         e.bit_count() - 1 + 1 for e in checks)
+
+
+def test_least_period_rejects_a_non_period():
+    # 2 lies before the cycle start of 2 mod 100 (s = 2, L = 20), so 40
+    # is not a period of it: 2^41 = 52 != 2 (mod 100)
+    with pytest.raises(SemigroupError, match="not a period"):
+        least_period(ZModContext(100), 2, 2, 40)
 
 
 def test_least_period_rejects_unfactorable_input():

@@ -310,24 +310,6 @@ def test_pre_cycle_powers_are_answered_by_the_tail_walk(solver, ctx, x):
         assert tr.get("primes", []) == []
 
 
-def test_ph_walks_the_tail_only_where_it_is_cheaper_than_the_digits():
-    # L = 2^24 gives Pohlig-Hellman 24 one-bit digits, which cost at
-    # least 24 * (ceil(sqrt(2)) + 2 * 25) = 1248: a tail of 3999 is
-    # shifted into the group instead of walked (~800 products, not
-    # ~4000), while semigroup_dlog walks it, below ceil(sqrt(L)) = 4096
-    cyc = CycleStructure(4000, 1 << 24)
-    ph, red = MonogenicContext(4000, 1 << 24), MonogenicContext(4000, 1 << 24)
-    y = power(ph, 1, 3999)
-    ph.mult_count = 0
-    sol, trace = pohlig_hellman_dlog(ph, 1, y, cyc)
-    assert sol.to_json() == {"kind": "unique", "m": 3999}
-    assert trace.b == 1 and len(trace.prime_records) == 1
-    assert ph.mult_count < 1000
-    sol, trace = semigroup_dlog(red, 1, y, cyc)
-    assert sol.to_json() == {"kind": "unique", "m": 3999}
-    assert trace.b is None
-
-
 @pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
 def test_golden_zmod_non_power_ends_in_the_tail_walk(solver):
     # 3 * 2^100 = 128 != 3 (mod 1000): off the cycle, and x, x^2 miss it

@@ -152,7 +152,10 @@ CYCLE_CASES = {
 # table.  make_group_view now takes x^(tL) as (x^L)^t, which is x^L
 # itself at t = 1, as in every case here, and the shift takes y*x^(tL) as
 # y times that identity, with its bisection probes x^(bL) from one ladder
-# of x^L; each case's comment gives the move.  Answers are unchanged
+# of x^L; each case's comment gives the move.  The shift no longer tests
+# y*x^(tL) for membership, a test every y passes (y*x^(tL) times x^L is
+# y*x^((t+1)L) = y*x^(tL) since tL >= s), which saves the one product of
+# that test.  Answers are unchanged
 DLOG_CASES = {
     # in-cycle: group view 17 -> 9; 53 -> 45
     ("zmod", 57, "reduction"): ({"kind": "progression", "m0": 57,
@@ -184,11 +187,11 @@ DLOG_CASES = {
     ("monogenic", 1000, "pohlig-hellman"): ({"kind": "progression",
                                              "m0": 280, "period": 360}, 109),
     # off-cycle, but s - 1 = 36 > ceil(sqrt(360)) = 19, so no tail walk:
-    # the shift, y times the identity with no bisection at t = 1, 13 -> 2;
-    # group view 23 -> 12; 65 -> 43
-    ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 43),
-    # as above: shift 13 -> 2, group view 23 -> 12; 133 -> 111
-    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 111),
+    # the shift, y times the identity with no bisection at t = 1 and no
+    # membership test, 13 -> 2 -> 1; group view 23 -> 12; 65 -> 43 -> 42
+    ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 42),
+    # as above: shift 13 -> 2 -> 1, group view 23 -> 12; 133 -> 111 -> 110
+    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 110),
 }
 
 # (family, bound) -> the accepting attempt's Banin-Tsaban rounds as

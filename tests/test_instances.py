@@ -93,7 +93,14 @@ def test_parse_errors_carry_positions():
     for spec, where in [
             ('{"type":"monogenic","s":3,"L":4,"e":true}', "$.e"),
             ('{"type":"transformation","map":[true,2]}', "$.map[0]"),
-            ('{"type":[]}', "$.type")]:
+            ('{"type":[]}', "$.type"),
+            ('{"type":"matmod","modulus":5,"entries":7}', "$.entries"),
+            ('{"type":"boolmat","entries":[[1,0],[0,1.0]]}',
+             "$.entries[1][1]"),
+            # a field element_json does not write; the first in document
+            # order, not sorted
+            ('{"type":"monogenic","s":5,"L":12,"E":3}', "$.E"),
+            ('{"z":0,"type":"zmod","modulus":9,"value":2,"a":0}', "$.z")]:
         with pytest.raises(ElementSpecError) as err:
             parse_element_spec(spec)
         assert err.value.where == where

@@ -113,6 +113,8 @@ def test_next_prime():
     (2 ** 31 - 1, [(2147483647, 1)]),
     (1000003 * 1000033, [(1000003, 1), (1000033, 1)]),
     (10007 ** 2, [(10007, 2)]),
+    # past trial division: the cofactor is a perfect square
+    (1000003 ** 2, [(1000003, 2)]),
 ])
 def test_factor_integer_known(n, expected):
     assert factor_integer(n) == expected

@@ -108,8 +108,9 @@ ENTRY_POINTS = {
     "MonogenicContext": lambda: MonogenicContext(1.5, 2),
 }
 
-# further malformed inputs to the entry points above, each of which once
-# leaked a raw TypeError or ValueError
+# further malformed inputs to the entry points above: values that once
+# leaked a raw TypeError or ValueError or were taken as integers (a bool
+# exponent), and integers below a range check
 MORE_ENTRY_CASES = {
     "find_cycle-rounds-not-a-pair":
         lambda: find_cycle(_zmod(), 2, "banin-tsaban", rounds=5),
@@ -119,6 +120,19 @@ MORE_ENTRY_CASES = {
     "crt_combine-pair-too-short": lambda: crt_combine([(1,)]),
     "random_element-list-seed":
         lambda: random_element("zmod", {"modulus": 7}, [1]),
+    "power-bool-exponent": lambda: power(_zmod(), 2, True),
+    "cycle_start_search-length-0": lambda: cycle_start_search(_zmod(), 2, 0),
+    "monico_strip-g-0": lambda: monico_strip(_zmod(), 2, 3, 0, 10),
+    "monico_cycle_length-B-1":
+        lambda: monico_cycle_length(_zmod(), 2, 20, 1),
+    "group_dlog_oracle-bound-0": lambda: group_dlog_oracle(_zmod(), 2, 4, 0),
+    "banin_tsaban-inner-rounds-0":
+        lambda: banin_tsaban_cycle_length(_zmod(), 2, inner_rounds=0),
+    "banin_tsaban-outer-rounds-0":
+        lambda: banin_tsaban_cycle_length(_zmod(), 2, outer_rounds=0),
+    "bsgs_group_dlog-order-0":
+        lambda: bsgs_group_dlog(_zmod(), _view(), 52, 68, 0),
+    "solution_set-exponent-0": lambda: solution_set(0, CycleStructure(2, 20)),
 }
 
 # a context that is not a SemigroupContext, or a group view that is not a
