@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .core import DomainError, SemigroupError, check_int
 from .cycle import brute_force_cycle, find_cycle
-from .instances import FAMILIES, make_context, random_element
+from .instances import FAMILIES, make_context
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,9 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
     except TypeError:
         raise DomainError("bench sizes must be an iterable of integers, "
                           f"got {sizes!r}") from None
-    for value in (trials, seed, *sizes):
-        check_int(value, "each bench size, trial count and seed")
-    if trials < 1 or min(sizes, default=1) < 1:
-        raise DomainError("bench sizes and trials must be >= 1")
+    check_int(seed, "seed")
+    for value in (trials, *sizes):
+        check_int(value, "bench sizes and trials", 1)
     records = []
     for size in sizes:
         for trial in range(trials):
@@ -85,7 +84,7 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
                 # `size` is the order actually exercised
                 elem = 1
             else:
-                elem = random_element(family, params, rng.randrange(1 << 62))
+                elem = ctx.draw(random.Random(rng.randrange(1 << 62)))
             run_bound = bound
             if bound is None and family == "monogenic" and algorithm in ("monico", "banin-tsaban"):
                 run_bound = size  # the construction pins the order
@@ -100,9 +99,8 @@ def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
             success = None
             order = None
             if check_oracle:
-                oracle_ctx = make_context(family, params)
                 try:
-                    truth = brute_force_cycle(oracle_ctx, elem)
+                    truth = brute_force_cycle(ctx, elem)
                 except SemigroupError:
                     truth = None
                 if truth is not None:

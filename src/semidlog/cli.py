@@ -162,10 +162,6 @@ def cmd_dlog(args) -> int:
             f"{ctx.describe()} vs {ctx_y.describe()}")
     cyc, _ = find_cycle(ctx, x, "deterministic", args.bound)
     sol, trace = DLOG_SOLVERS[args.alg](ctx, x, y, cyc)
-    # confirm before reporting
-    if power(ctx, x, sol.smallest()) != y:
-        print("error: solver output failed the power check", file=sys.stderr)
-        return EXIT_VERIFY
     result = {
         "command": "dlog",
         "algorithm": args.alg,
@@ -250,11 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "elements of finite semigroups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (default: SEMIDLOG_SEED or "
-                                f"{DEFAULT_SEED})")
+    def common(p):
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default: SEMIDLOG_SEED or "
+                            f"{DEFAULT_SEED})")
         p.add_argument("--json-output", action="store_true",
                        help="emit a machine-readable JSON document")
         p.add_argument("--out", metavar="FILE", default=None,
@@ -317,7 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+        if args.seed is None:
             args.seed = _default_seed()
         _check_bounds(args)
         handler = {

@@ -45,18 +45,22 @@ class OracleFailureError(SemigroupError):
 
 
 class DomainError(SemigroupError, ValueError):
-    """A number outside the domain its function accepts.  Also a
-    ValueError, so callers that catch ValueError keep working."""
+    """An argument outside the domain its function accepts: an integer
+    argument of the wrong type or below its least value, among others.
+    Also a ValueError, so callers that catch ValueError keep working."""
 
 
-def check_int(value, name: str) -> int:
-    """`value` if it is an integer (a bool is not one), else DomainError.
+def check_int(value, name: str, least: int | None = None) -> int:
+    """`value` if it is an integer (a bool is not one) and, when `least`
+    is given, at least `least`; else DomainError.
 
-    The type check on the public functions' integer arguments; each
-    keeps its own range check and message.
+    The one type and range check on the public functions' integer
+    arguments.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -155,12 +159,9 @@ def power(ctx: SemigroupContext, x, e: int):
 
     Uses exactly (bit_length(e) - 1) + (popcount(e) - 1) multiplications,
     which is at most 2*floor(log2 e) + 1, added to the counter at the exit.
-    e = 0 is rejected: a semigroup has no identity to return.
     """
     check_context(ctx)
-    if check_int(e, "exponent") < 1:
-        raise SemigroupError(f"exponent must be a positive integer, got {e!r} "
-                             "(no identity element exists for x^0)")
+    check_int(e, "exponent", 1)  # no x^0: a semigroup has no identity
     prod = ctx._product
     result = None
     base = x
@@ -193,9 +194,7 @@ class Powers:
         self.squares = [x]
 
     def __call__(self, e: int):
-        if check_int(e, "exponent") < 1:
-            raise SemigroupError(f"exponent must be a positive integer, "
-                                 f"got {e!r}")
+        check_int(e, "exponent", 1)
         squares = self.squares
         prod = self.ctx._product
         made = 0
@@ -299,8 +298,7 @@ def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
     value), or None.  Adds the products made, i - 1 or n - 1, to the
     counter once, at the exit.  DomainError unless n is an integer >= 1.
     """
-    if check_int(n, "n") < 1:
-        raise DomainError(f"probe_walk needs n >= 1, got {n}")
+    check_int(n, "n", 1)
     return _walks(ctx._walk_step).probe_walk(ctx, table, cur, step, n)
 
 
@@ -335,11 +333,9 @@ class CycleStructure:
     order: int = 0
 
     def __post_init__(self):
-        check_int(self.cycle_start, "cycle start")
-        check_int(self.cycle_length, "cycle length")
+        check_int(self.cycle_start, "cycle start", 1)
+        check_int(self.cycle_length, "cycle length", 1)
         check_int(self.order, "order")
-        if self.cycle_start < 1 or self.cycle_length < 1:
-            raise DomainError("cycle start and cycle length must be >= 1")
         expected = self.cycle_start + self.cycle_length - 1
         if self.order == 0:
             object.__setattr__(self, "order", expected)

@@ -178,8 +178,8 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     find a collision raises instead of growing the bound.
     """
     check_context(ctx).validate(x)
-    if known_bound is not None and check_int(known_bound, "known_bound") < 1:
-        raise SemigroupError("known_bound must be >= 1")
+    if known_bound is not None:
+        check_int(known_bound, "known_bound", 1)
     trace = Alg4Trace()
     powers = Powers(ctx, x)
 
@@ -207,8 +207,7 @@ def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int) -> int:
     doubling stops past _DOUBLING_CAP with SemigroupError.
     """
     check_context(ctx).validate(x)
-    if check_int(cycle_length, "cycle_length") < 1:
-        raise SemigroupError("cycle_length must be >= 1")
+    check_int(cycle_length, "cycle_length", 1)
     step = power(ctx, x, cycle_length)
     powers = Powers(ctx, x)
 
@@ -292,8 +291,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     The anchor and the candidates are powers of x from one ladder.
     """
     check_context(ctx).validate(x)
-    if check_int(g, "g") < 1:
-        raise SemigroupError("g must be >= 1")
+    check_int(g, "g", 1)
     powers = Powers(ctx, x)
     base = powers(anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):
@@ -375,10 +373,9 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
     """
     del seed
     check_context(ctx).validate(x)
-    if check_int(divisor_bound, "divisor_bound") < 2:
-        raise SemigroupError("divisor_bound must be >= 2")
-    if bound is not None and check_int(bound, "bound") < 1:
-        raise SemigroupError("bound must be >= 1")
+    check_int(divisor_bound, "divisor_bound", 2)
+    if bound is not None:
+        check_int(bound, "bound", 1)
     trace = MonicoTrace(divisor_bound=divisor_bound)
     powers = Powers(ctx, x)
     return _doubling_search(
@@ -413,8 +410,7 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     """
     check_context(ctx).validate(h)
     ctx.validate(target)
-    if check_int(bound, "oracle bound") < 1:
-        raise SemigroupError("oracle bound must be >= 1")
+    check_int(bound, "oracle bound", 1)
     q = ceil_sqrt(max(bound, 2))
     # every index of a value, not table_walk's first: one index's candidate
     # can fail the power check where another's verifies.  The per-entry
@@ -555,13 +551,10 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     multiplications per call, against 8,517 at the default.
     """
     check_context(ctx).validate(x)
-    if check_int(bound, "bound") < 2:
-        raise SemigroupError("bound must be >= 2")
-    if check_int(inner_rounds, "inner_rounds") < 1:
-        raise SemigroupError("inner_rounds must be >= 1")
-    if outer_rounds is not None and check_int(outer_rounds,
-                                              "outer_rounds") < 1:
-        raise SemigroupError("outer_rounds must be >= 1")
+    check_int(bound, "bound", 2)
+    check_int(inner_rounds, "inner_rounds", 1)
+    if outer_rounds is not None:
+        check_int(outer_rounds, "outer_rounds", 1)
     outer = OUTER_ROUNDS if outer_rounds is None else outer_rounds
     rng = random.Random(seed)
     trace = BaninTrace()

@@ -108,7 +108,7 @@ def inverse_in_group(ctx: SemigroupContext, gv: GroupView, n: int):
     check_context(ctx)
     s, length = _check_view(gv).cycle.cycle_start, gv.cycle.cycle_length
     if check_int(n, "n") < s:
-        raise SemigroupError(
+        raise DomainError(
             f"x^{n} lies before the cycle start {s} and has no inverse")
     v = -(-(s + n) // length)
     return power(ctx, gv.base, v * length - n)
@@ -130,8 +130,7 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     """
     check_context(ctx).validate(generator)
     ctx.validate(target)
-    if check_int(order, "order") < 1:
-        raise SemigroupError("order must be >= 1")
+    check_int(order, "order", 1)
     if target == _check_view(gv).identity:
         return 0
     b = (ceil_sqrt(order) + 1) // 2
@@ -173,8 +172,7 @@ class DlogSolution:
 
 def solution_set(raw_m: int, cycle: CycleStructure) -> DlogSolution:
     """Normalize one known solution exponent into the full solution set."""
-    if check_int(raw_m, "solution exponent") < 1:
-        raise SemigroupError("solution exponent must be >= 1")
+    check_int(raw_m, "solution exponent", 1)
     s, length = _check_cycle(cycle).cycle_start, cycle.cycle_length
     if raw_m < s:
         return DlogSolution("unique", raw_m)

@@ -39,8 +39,6 @@ from .core import (
     check_int,
 )
 
-KEY_ENCODING_VERSION = 1
-
 # bytes.translate table taking v to v + 1: 0-indexed images to key bytes
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
@@ -427,15 +425,6 @@ class MonogenicContext(SemigroupContext):
 
     def draw(self, rng):
         return rng.randint(1, self.order)
-
-    def canon(self, n: int) -> int:
-        if n <= self.order:
-            return n
-        return (n - self.cycle_start) % self.cycle_length + self.cycle_start
-
-    @property
-    def generator(self) -> int:
-        return 1
 
     def _product(self, a, b):
         n = a + b  # canon inlined: one Python call per product

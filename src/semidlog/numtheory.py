@@ -154,8 +154,7 @@ def factor_integer(n: int) -> list:
     whatever composite cofactor survives; every reported prime is
     certified by the deterministic Miller-Rabin test.
     """
-    if check_int(n, "n") < 1:
-        raise DomainError("factor_integer requires n >= 1")
+    check_int(n, "n", 1)
     if n >= 1 << 63:
         raise DomainError("factor_integer supports n < 2^63")
     found, n = _trial_division(n, TRIAL_DIVISION_LIMIT, stop_at_prime=True)
@@ -221,8 +220,7 @@ def crt_combine(residues) -> int:
     x, mod = 0, 1
     for r, m in pairs:
         check_int(r, "residue")
-        if check_int(m, "modulus") < 1:
-            raise DomainError("moduli must be positive")
+        check_int(m, "modulus", 1)
         g = math.gcd(mod, m)
         if g != 1:
             raise DomainError(f"moduli are not pairwise coprime (gcd {g})")

@@ -7,10 +7,12 @@ import pytest
 
 import semidlog
 from semidlog import (
+    DLOG_SOLVERS,
     banin_tsaban_cycle_length,
     brute_force_cycle,
     cycle_start_search,
     deterministic_cycle_length,
+    find_cycle,
     make_context,
     monico_cycle_length,
     parse_element_spec,
@@ -273,6 +275,31 @@ def test_dlog_pohlig_hellman_agrees(capsys):
         capsys)
     assert code == code_b == 0
     assert json.loads(out_a)["solution"] == json.loads(out_b)["solution"]
+
+
+MONO1 = '{"type":"monogenic","s":10,"L":15,"e":1}'
+MONO5 = '{"type":"monogenic","s":10,"L":15,"e":5}'
+
+
+# the CLI reports the products of find_cycle and the solver, and makes
+# none of its own: 2 -> 68 mod 100 answers from the group log, 1 -> 5 in
+# the monogenic (10, 15) from the tail walk
+@pytest.mark.parametrize("base, target", [(ZMOD2, ZMOD68), (MONO1, MONO5)],
+                         ids=["group", "tail"])
+@pytest.mark.parametrize("alg", sorted(DLOG_SOLVERS))
+def test_dlog_dispatch_matches_library_call(alg, base, target, capsys):
+    code, out, _ = run_cli(["dlog", "--alg", alg, "--json-output", base,
+                            target], capsys)
+    assert code == 0
+    doc = json.loads(out)
+
+    ctx, x = parse_element_spec(base)
+    _, y = parse_element_spec(target)
+    cyc, _ = find_cycle(ctx, x, "deterministic")
+    sol, trace = DLOG_SOLVERS[alg](ctx, x, y, cyc)
+    assert doc["solution"] == sol.to_json()
+    assert doc["trace"] == json.loads(json.dumps(trace.to_json()))
+    assert doc["multiplications"] == ctx.mult_count
 
 
 def test_dlog_no_solution_exit_4(capsys):

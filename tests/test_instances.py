@@ -224,7 +224,7 @@ def test_monogenic_realizes_prescribed_cycle_structure():
     for s in (1, 2, 5, 13, 40):
         for length in (1, 2, 12, 31):
             ctx = MonogenicContext(s, length)
-            cyc = brute_force_cycle(ctx, ctx.generator)
+            cyc = brute_force_cycle(ctx, 1)  # the generator
             assert (cyc.cycle_start, cyc.cycle_length) == (s, length)
 
 

@@ -82,11 +82,11 @@ def test_is_prime_past_twelve_bases():
 # is a SemigroupError and, for older callers, a ValueError
 @pytest.mark.parametrize("call, message", [
     (lambda: ceil_sqrt(-1), "ceil_sqrt of negative number"),
-    (lambda: factor_integer(0), "factor_integer requires n >= 1"),
+    (lambda: factor_integer(0), "n must be >= 1, got 0"),
     (lambda: factor_integer(2 ** 64), r"factor_integer supports n < 2\^63"),
     (lambda: crt_combine([(1, 4), (1, 6)]),
      r"moduli are not pairwise coprime \(gcd 2\)"),
-    (lambda: crt_combine([(0, 0)]), "moduli must be positive"),
+    (lambda: crt_combine([(0, 0)]), "modulus must be >= 1, got 0"),
     (lambda: is_prime(PSI_13), "deterministic only below psi_13"),
 ], ids=["ceil_sqrt", "factor-0", "factor-2^64", "crt-coprime",
         "crt-modulus", "is_prime"])

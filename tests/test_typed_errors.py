@@ -58,6 +58,8 @@ from semidlog import (
     semigroup_dlog,
     solution_set,
 )
+from semidlog.bench import run_sweep
+from semidlog.core import Powers, probe_walk
 
 
 def _zmod():
@@ -110,7 +112,7 @@ ENTRY_POINTS = {
 
 # further malformed inputs to the entry points above: values that once
 # leaked a raw TypeError or ValueError or were taken as integers (a bool
-# exponent), and integers below a range check
+# exponent)
 MORE_ENTRY_CASES = {
     "find_cycle-rounds-not-a-pair":
         lambda: find_cycle(_zmod(), 2, "banin-tsaban", rounds=5),
@@ -121,6 +123,12 @@ MORE_ENTRY_CASES = {
     "random_element-list-seed":
         lambda: random_element("zmod", {"modulus": 7}, [1]),
     "power-bool-exponent": lambda: power(_zmod(), 2, True),
+}
+
+# an integer below its least value, one case per range check (the
+# checks of factor_integer, crt_combine and CycleStructure have their own
+# DomainError tests); each raises DomainError
+RANGE_CASES = {
     "cycle_start_search-length-0": lambda: cycle_start_search(_zmod(), 2, 0),
     "monico_strip-g-0": lambda: monico_strip(_zmod(), 2, 3, 0, 10),
     "monico_cycle_length-B-1":
@@ -133,6 +141,17 @@ MORE_ENTRY_CASES = {
     "bsgs_group_dlog-order-0":
         lambda: bsgs_group_dlog(_zmod(), _view(), 52, 68, 0),
     "solution_set-exponent-0": lambda: solution_set(0, CycleStructure(2, 20)),
+    "deterministic_cycle_length-known-bound-0":
+        lambda: deterministic_cycle_length(_zmod(), 2, known_bound=0),
+    "monico_cycle_length-bound-0":
+        lambda: monico_cycle_length(_zmod(), 2, bound=0),
+    "banin_tsaban-bound-1": lambda: banin_tsaban_cycle_length(_zmod(), 2, 1),
+    "inverse_in_group-before-cycle-start":
+        lambda: inverse_in_group(_zmod(), _view(), 1),
+    "power-exponent-0": lambda: power(_zmod(), 2, 0),
+    "Powers-exponent-0": lambda: Powers(_zmod(), 2)(0),
+    "probe_walk-n-0": lambda: probe_walk(_zmod(), {4: 0}, 2, 2, 0),
+    "run_sweep-size-0": lambda: run_sweep("zmod", "deterministic", [0]),
 }
 
 # a context that is not a SemigroupContext, or a group view that is not a
@@ -208,10 +227,16 @@ def test_malformed_input_raises_a_typed_error(name):
         ENTRY_POINTS[name]()
 
 
-@pytest.mark.parametrize("name", sorted(MORE_ENTRY_CASES))
+# one test over both tables; a range case must raise the stricter
+# DomainError
+@pytest.mark.parametrize("name", sorted(MORE_ENTRY_CASES | RANGE_CASES))
 def test_more_malformed_inputs_raise_typed_errors(name):
-    with pytest.raises(SemigroupError):
-        MORE_ENTRY_CASES[name]()
+    if name in RANGE_CASES:
+        with pytest.raises(DomainError):
+            RANGE_CASES[name]()
+    else:
+        with pytest.raises(SemigroupError):
+            MORE_ENTRY_CASES[name]()
 
 
 @pytest.mark.parametrize("name", sorted(FOREIGN_ARGUMENT_CASES))
