@@ -93,6 +93,15 @@ def _emit(payload: str, out_path: str | None):
         sys.stdout.write(payload)
 
 
+def _report(args, result: dict, lines: list) -> None:
+    """Write `result` as one sorted-key JSON line under --json-output,
+    else `lines` as text."""
+    if args.json_output:
+        _emit(json.dumps(result, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
+
+
 def _verify_cycle(ctx, x, start, length) -> str | None:
     """Cheap exactness check of a reported (start, length) pair.
 
@@ -135,18 +144,15 @@ def cmd_cycle(args) -> int:
         "verified": None if args.no_verify else problem is None,
         "trace": trace_json,
     }
-    if args.json_output:
-        _emit(json.dumps(result, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [
-            f"instance: {json.dumps(ctx.describe(), sort_keys=True)}",
-            f"algorithm: {args.alg}",
-            f"cycle_start={start} cycle_length={length} order={cyc.order}",
-            f"multiplications: {ctx.mult_count}",
-        ]
-        if problem:
-            lines.append(f"VERIFICATION FAILED: {problem}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"instance: {json.dumps(ctx.describe(), sort_keys=True)}",
+        f"algorithm: {args.alg}",
+        f"cycle_start={start} cycle_length={length} order={cyc.order}",
+        f"multiplications: {ctx.mult_count}",
+    ]
+    if problem:
+        lines.append(f"VERIFICATION FAILED: {problem}")
+    _report(args, result, lines)
     if problem:
         print(f"error: verification failed: {problem}", file=sys.stderr)
         return EXIT_VERIFY
@@ -174,16 +180,14 @@ def cmd_dlog(args) -> int:
         "seed": args.seed,
         "trace": trace.to_json(),
     }
-    if args.json_output:
-        _emit(json.dumps(result, sort_keys=True) + "\n", args.out)
+    if sol.kind == "unique":
+        desc = f"unique m={sol.m0}"
     else:
-        if sol.kind == "unique":
-            desc = f"unique m={sol.m0}"
-        else:
-            desc = f"progression m0={sol.m0} period={sol.period}"
-        _emit(f"instance: {json.dumps(ctx.describe(), sort_keys=True)}\n"
-              f"solution: {desc}\n"
-              f"multiplications: {ctx.mult_count}\n", args.out)
+        desc = f"progression m0={sol.m0} period={sol.period}"
+    _report(args, result, [
+        f"instance: {json.dumps(ctx.describe(), sort_keys=True)}",
+        f"solution: {desc}",
+        f"multiplications: {ctx.mult_count}"])
     return EXIT_OK
 
 
@@ -220,17 +224,10 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = run_selftests(args.seed)
-    if args.json_output:
-        payload = json.dumps({"command": "selftest", "seed": args.seed,
-                              "suites": [r.to_json() for r in results]},
-                             sort_keys=True) + "\n"
-        _emit(payload, args.out)
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"[{status}] {r.name}: {r.detail}")
-        _emit("\n".join(lines) + "\n", args.out)
+    _report(args, {"command": "selftest", "seed": args.seed,
+                   "suites": [r.to_json() for r in results]},
+            [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
+             for r in results])
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"error: {len(failures)} suite(s) failed: "
@@ -255,21 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write output to FILE instead of stdout")
 
+    def algorithm_flags(p):
+        p.add_argument("--alg", choices=CYCLE_ALGORITHMS,
+                       default="deterministic")
+        p.add_argument("--bound", type=int, default=None,
+                       help="known upper bound on the order: one round at "
+                            "it, not bounds growing x4 (banin-tsaban: the "
+                            "first bound of its x4 schedule)")
+        p.add_argument("--B", dest="divisor_bound", type=int,
+                       default=10 ** 4, metavar="N",
+                       help="divisor bound for monico stripping")
+        p.add_argument("--rounds", metavar="r,s", default=None,
+                       help="inner,outer round counts for banin-tsaban "
+                            "(default 4,3)")
+
     p_cycle = sub.add_parser("cycle", help="compute cycle start and length")
     p_cycle.add_argument("element", metavar="ELEMENT_SPEC",
                          help="inline JSON element spec or @file")
-    p_cycle.add_argument("--alg", choices=CYCLE_ALGORITHMS,
-                         default="deterministic")
-    p_cycle.add_argument("--bound", type=int, default=None,
-                         help="known upper bound on the order: one round "
-                              "at it, not bounds growing x4 (banin-tsaban: "
-                              "the first bound of its x4 schedule)")
-    p_cycle.add_argument("--B", dest="divisor_bound", type=int,
-                         default=10 ** 4, metavar="N",
-                         help="divisor bound for monico stripping")
-    p_cycle.add_argument("--rounds", metavar="r,s", default=None,
-                         help="inner,outer round counts for banin-tsaban "
-                              "(default 4,3)")
+    algorithm_flags(p_cycle)
     p_cycle.add_argument("--no-verify", action="store_true",
                          help="skip the exactness verification of the result")
     common(p_cycle)
@@ -284,15 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="seeded benchmark sweep")
     p_bench.add_argument("--family", required=True, choices=FAMILIES)
-    p_bench.add_argument("--alg", choices=CYCLE_ALGORITHMS,
-                         default="deterministic")
+    algorithm_flags(p_bench)
     p_bench.add_argument("--sizes", default="",
                          help="comma-separated instance sizes (0x/0b forms ok)")
     p_bench.add_argument("--trials", type=int, default=1)
-    p_bench.add_argument("--bound", type=int, default=None)
-    p_bench.add_argument("--B", dest="divisor_bound", type=int,
-                         default=10 ** 4, metavar="N")
-    p_bench.add_argument("--rounds", metavar="r,s", default=None)
     p_bench.add_argument("--dim", type=int, default=2,
                          help="matrix dimension for matmod/boolmat")
     p_bench.add_argument("--modulus", type=int, default=5,

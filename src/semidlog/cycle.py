@@ -121,13 +121,7 @@ class Alg4Trace(Trace):
     rounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
-
-    @property
-    def table_peak(self) -> int:
-        return max((r.table_size for r in self.rounds), default=0)
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "table_peak": self.table_peak}
+    table_peak: int = 0  # the largest round's table_size
 
 
 def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int):
@@ -186,6 +180,7 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     def attempt(bound):
         result, rec = _alg4_round(ctx, x, powers, bound)
         trace.rounds.append(rec)
+        trace.table_peak = max(trace.table_peak, rec.table_size)
         return result
 
     return _doubling_search(
@@ -238,14 +233,18 @@ def least_period(ctx: SemigroupContext, x, base, g: int) -> int:
     """
     check_context(ctx).validate(x)
     ctx.validate(base)
-    powers = Powers(ctx, x)
-    if ctx.mul(powers(g), base) != base:
+    check_int(g, "g", 1)
+    length = _least_period(ctx, Powers(ctx, x), base, g)
+    if length is None:
         raise SemigroupError(f"{g} is not a period: x^{g} * base != base")
-    return _least_period(ctx, powers, base, g)
+    return length
 
 
 def _least_period(ctx, powers, base, g):
-    """least_period, past its entry check, with the ladder `powers`."""
+    """least_period with the ladder `powers`; None where the entry check
+    x^g * base = base fails."""
+    if ctx.mul(powers(g), base) != base:
+        return None
     try:
         primes = factor_integer(g)
     except ValueError as exc:
@@ -292,6 +291,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     """
     check_context(ctx).validate(x)
     check_int(g, "g", 1)
+    check_int(anchor_exp, "anchor_exp", 1)
     powers = Powers(ctx, x)
     base = powers(anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):
@@ -516,12 +516,9 @@ def _banin_attempt(ctx, powers, bound, inner, outer, rng, trace):
     trace.anchor_exponent = anchor
     if anchor is None or acc >= 1 << 63:
         return None
-    base = powers(anchor)
-    if ctx.mul(powers(acc), base) != base:
+    length = _least_period(ctx, powers, powers(anchor), acc)
+    if length is None:
         return None
-    # candidate verified to be a multiple of the cycle length; reduce it
-    # by its prime cofactors to the cycle length
-    length = _least_period(ctx, powers, base, acc)
     trace.verified = True
     trace.corrected_from = acc if length != acc else None
     return length

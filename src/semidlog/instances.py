@@ -69,11 +69,13 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _int_param(value, name: str):
-    """A constructor's integer parameter `name`, else ElementSpecError at
-    $.name."""
+def _int_param(value, name: str, least: int | None = None):
+    """A constructor's integer parameter `name`, at least `least` when
+    that is given, else ElementSpecError at $.name."""
     if not _is_int(value):
         raise ElementSpecError(f"{name} must be an integer", f"$.{name}")
+    if least is not None and value < least:
+        raise ElementSpecError(f"{name} must be >= {least}", f"$.{name}")
     return value
 
 
@@ -130,8 +132,7 @@ class ZModContext(SemigroupContext):
     _walk_step = ("m = ctx.modulus", "cur = cur * step % m")
 
     def __init__(self, modulus: int):
-        if _int_param(modulus, "modulus") < 2:
-            raise ElementSpecError("modulus must be >= 2", "$.modulus")
+        _int_param(modulus, "modulus", 2)
         super().__init__()
         self.modulus = modulus
         self._width = _byte_width(modulus - 1)
@@ -157,7 +158,7 @@ class ZModContext(SemigroupContext):
         return a.to_bytes(self._width, "big")
 
     def validate(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.modulus:
+        if not _is_int(a) or not 0 <= a < self.modulus:
             raise IncompatibleElementError(
                 f"{a!r} is not a residue modulo {self.modulus}")
         return a
@@ -212,8 +213,7 @@ class MatModContext(SemigroupContext):
     max_dim = 64
 
     def __init__(self, dim: int, modulus: int):
-        if _int_param(modulus, "modulus") < 2:
-            raise ElementSpecError("modulus must be >= 2", "$.modulus")
+        _int_param(modulus, "modulus", 2)
         _check_dim(self, dim)
         super().__init__()
         self.dim = dim
@@ -249,7 +249,7 @@ class MatModContext(SemigroupContext):
         ok = (
             isinstance(a, tuple) and len(a) == self.dim
             and all(isinstance(r, tuple) and len(r) == self.dim for r in a)
-            and all(isinstance(v, int) and 0 <= v < self.modulus
+            and all(_is_int(v) and 0 <= v < self.modulus
                     for r in a for v in r)
         )
         if not ok:
@@ -316,7 +316,7 @@ class BoolMatContext(SemigroupContext):
         return a.to_bytes(self._width, "big")
 
     def validate(self, a):
-        if not isinstance(a, int) or not 0 <= a < self._limit:
+        if not _is_int(a) or not 0 <= a < self._limit:
             raise IncompatibleElementError(
                 f"not a {self.dim}x{self.dim} boolean matrix")
         return a
@@ -405,10 +405,8 @@ class MonogenicContext(SemigroupContext):
                   "    cur = (cur - s) % L + s")
 
     def __init__(self, s: int, L: int):
-        if _int_param(s, "s") < 1:
-            raise ElementSpecError("s must be >= 1", "$.s")
-        if _int_param(L, "L") < 1:
-            raise ElementSpecError("L must be >= 1", "$.L")
+        _int_param(s, "s", 1)
+        _int_param(L, "L", 1)
         super().__init__()
         self.cycle_start = s
         self.cycle_length = L
@@ -436,7 +434,7 @@ class MonogenicContext(SemigroupContext):
         return a.to_bytes(self._width, "big")
 
     def validate(self, a):
-        if not isinstance(a, int) or not 1 <= a <= self.order:
+        if not _is_int(a) or not 1 <= a <= self.order:
             raise IncompatibleElementError(
                 f"{a!r} is not a canonical exponent in [1, {self.order}]")
         return a

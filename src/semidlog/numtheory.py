@@ -115,21 +115,20 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-def _trial_division(n: int, limit: int, stop_at_prime: bool = False):
+def _trial_division(n: int, limit: int):
     """Trial division of n >= 1 by 2, 3, 5 and the 30-wheel, up to `limit`
     and while the divisor's square does not exceed the unfactored part.
-    With `stop_at_prime` (n < PSI_13), it also stops as soon as the
-    unfactored part is a prime P, tested on entry and after each prime is
-    divided out while the square test would go on, and reports (P, 1) as
-    found: a rough n = u*P then costs the divisors up to u's largest
-    prime, not up to sqrt(P).
+    Below PSI_13 it also stops as soon as the unfactored part is a prime
+    P, tested on entry and after each prime is divided out while the
+    square test would go on, and reports (P, 1) as found: a rough n = u*P
+    then costs the divisors up to u's largest prime, not up to sqrt(P).
 
     Returns ([(p, e), ...] with p ascending, unfactored part).  The
     unfactored part has no prime factor up to the last divisor tried, so
     it is 1 or a prime whenever the square test stopped the division.
     """
     found = []
-    if stop_at_prime and is_prime(n):
+    if n < PSI_13 and is_prime(n):
         return [(n, 1)], 1
     for d in chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7)):
         if d > limit or d * d > n:
@@ -140,7 +139,7 @@ def _trial_division(n: int, limit: int, stop_at_prime: bool = False):
                 n //= d
                 e += 1
             found.append((d, e))
-            if stop_at_prime and d * d <= n and is_prime(n):
+            if d * d <= n < PSI_13 and is_prime(n):
                 found.append((n, 1))
                 return found, 1
     return found, n
@@ -157,7 +156,7 @@ def factor_integer(n: int) -> list:
     check_int(n, "n", 1)
     if n >= 1 << 63:
         raise DomainError("factor_integer supports n < 2^63")
-    found, n = _trial_division(n, TRIAL_DIVISION_LIMIT, stop_at_prime=True)
+    found, n = _trial_division(n, TRIAL_DIVISION_LIMIT)
     factors = dict(found)
 
     rng = random.Random(0xB0B)

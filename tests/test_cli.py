@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from semidlog import (
     monico_cycle_length,
     parse_element_spec,
 )
-from semidlog.cli import main
+from semidlog.cli import build_parser, main
 
 ZMOD2 = '{"type":"zmod","modulus":100,"value":2}'
 ZMOD68 = '{"type":"zmod","modulus":100,"value":68}'
@@ -180,6 +181,22 @@ def test_bench_dispatch_matches_library_call(alg, flags, capsys):
             "seed": row["seed"], "table_peak": peak, "trial": row["trial"],
             "success": (start, length) == (truth.cycle_start,
                                            truth.cycle_length)}
+
+
+def test_cycle_and_bench_share_the_algorithm_flags():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+
+    def flags(command):
+        return {a.option_strings[0]: (a.dest, a.default, a.choices, a.help)
+                for a in subcommands[command]._actions
+                if a.option_strings[:1] in (["--alg"], ["--bound"], ["--B"],
+                                            ["--rounds"])}
+
+    assert len(flags("cycle")) == 4
+    assert flags("bench") == flags("cycle")
+    assert flags("cycle")["--B"] == (
+        "divisor_bound", 10 ** 4, None, "divisor bound for monico stripping")
 
 
 def test_cycle_unfactorable_length_exits_3(capsys, monkeypatch):

@@ -78,7 +78,7 @@ def test_boolmat_element_is_its_key_integer():
 
 
 @pytest.mark.parametrize("bad", [
-    ((1, 0), (0, 1)), -1, 1 << 4, 1.0, "9", None])
+    ((1, 0), (0, 1)), -1, 1 << 4, 1.0, "9", None, True, False])
 def test_boolmat_validate_rejects(bad):
     with pytest.raises(IncompatibleElementError):
         BoolMatContext(2).validate(bad)

@@ -6,6 +6,7 @@ import pytest
 from semidlog import (
     BoolMatContext,
     ElementSpecError,
+    IncompatibleElementError,
     MatModContext,
     MonogenicContext,
     TransformationContext,
@@ -131,6 +132,19 @@ def test_constructors_reject_out_of_range_parameters(cls, args, where):
     with pytest.raises(ElementSpecError) as err:
         cls(*args)
     assert err.value.where == where
+
+
+# bool is not an integer, for elements too: element_json would write
+# true, which parse_element_spec rejects
+@pytest.mark.parametrize("ctx, element", [
+    (ZModContext(10), True),
+    (ZModContext(10), False),
+    (MonogenicContext(3, 4), True),
+    (MatModContext(2, 5), ((1, 0), (0, True))),
+], ids=["zmod-true", "zmod-false", "monogenic-true", "matmod-entry-true"])
+def test_validate_rejects_bool_elements(ctx, element):
+    with pytest.raises(IncompatibleElementError):
+        ctx.validate(element)
 
 
 def test_matrix_dimension_caps():

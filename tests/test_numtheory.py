@@ -157,8 +157,7 @@ def test_factor_integer_rough(u, u_factors, big):
     assert factor_integer(u * big) == sorted(u_factors + [(big, 1)])
     if u < TRIAL_DIVISION_LIMIT:
         # the trial division itself stops at the prime cofactor
-        assert _trial_division(u * big, TRIAL_DIVISION_LIMIT,
-                               stop_at_prime=True) == (
+        assert _trial_division(u * big, TRIAL_DIVISION_LIMIT) == (
             u_factors + [(big, 1)], 1)
 
 
@@ -177,6 +176,33 @@ def test_prime_power_divisors_below():
     assert prime_power_divisors_below(1, 100) == []
     # large prime cofactor above the bound is ignored
     assert prime_power_divisors_below(2 * 1000003, 100) == [2]
+
+
+def _prime_powers_up_to(bound):
+    primes = [p for p in range(2, bound + 1)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    return sorted((p ** k for p in primes
+                   for k in range(1, bound.bit_length() + 1)
+                   if p ** k <= bound), reverse=True)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 10, 100, 10 ** 4])
+def test_prime_power_divisors_below_matches_direct_tests(bound):
+    # the reference tests every p^k <= bound for divisibility; trial
+    # division stops early at a prime cofactor, which must not change the
+    # list
+    powers = _prime_powers_up_to(bound)
+    rng = random.Random(bound)
+    for n in [*range(1, 30000), *(rng.randrange(1, 1 << 62)
+                                  for _ in range(200))]:
+        expected = [q for q in powers if q <= n and n % q == 0]
+        assert prime_power_divisors_below(n, bound) == expected, n
+
+
+def test_prime_power_divisors_below_past_psi_13():
+    # is_prime refuses from PSI_13 on; the division then runs on without
+    # testing the cofactor for a prime
+    assert prime_power_divisors_below(6 * PSI_13, 10) == [3, 2]
 
 
 def test_crt_combine_examples():

@@ -131,6 +131,8 @@ MORE_ENTRY_CASES = {
 RANGE_CASES = {
     "cycle_start_search-length-0": lambda: cycle_start_search(_zmod(), 2, 0),
     "monico_strip-g-0": lambda: monico_strip(_zmod(), 2, 3, 0, 10),
+    "monico_strip-anchor-0": lambda: monico_strip(_zmod(), 2, 0, 20, 10),
+    "least_period-g-0": lambda: least_period(_zmod(), 2, 4, 0),
     "monico_cycle_length-B-1":
         lambda: monico_cycle_length(_zmod(), 2, 20, 1),
     "group_dlog_oracle-bound-0": lambda: group_dlog_oracle(_zmod(), 2, 4, 0),
@@ -227,12 +229,20 @@ def test_malformed_input_raises_a_typed_error(name):
         ENTRY_POINTS[name]()
 
 
+# range cases whose message names the argument, not the exponent of a
+# power that fails further in
+RANGE_MESSAGES = {
+    "monico_strip-anchor-0": "anchor_exp must be >= 1, got 0",
+    "least_period-g-0": "g must be >= 1, got 0",
+}
+
+
 # one test over both tables; a range case must raise the stricter
 # DomainError
 @pytest.mark.parametrize("name", sorted(MORE_ENTRY_CASES | RANGE_CASES))
 def test_more_malformed_inputs_raise_typed_errors(name):
     if name in RANGE_CASES:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=RANGE_MESSAGES.get(name)):
             RANGE_CASES[name]()
     else:
         with pytest.raises(SemigroupError):
