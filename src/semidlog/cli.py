@@ -6,7 +6,9 @@ form a stable contract:
   0  success
   1  selftest failure
   2  element spec / argument parse error
-  3  verification failure (a probabilistic result failed its check)
+  3  verification failure (a probabilistic result failed its check),
+     or another SemigroupError, such as a cycle length that
+     pohlig-hellman needs factored and cannot factor
   4  no solution (dlog target is not a power of the base)
 
 Randomized commands are reproducible from (arguments, seed); the default

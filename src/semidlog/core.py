@@ -15,8 +15,9 @@ directly.  The byte key is the stable serialization format only (golden
 encodings, output); no algorithm needs it.  Besides `power`, the module
 holds `Powers`, the fixed-base ladder for many powers of one base, and
 the collision-table primitive: `table_walk`, `probe_walk` and
-`table_walk_all`, written once as a template that each family
-instantiates with its own product step (see SemigroupContext).
+`table_walk_all`.  `power` and the three walks are written once as a
+template that each family instantiates with its own product step and
+power (see SemigroupContext).
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ def check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
+# The default POWER fragment: cur = x^e by square and multiply over
+# `prod`, which the default BIND binds
+_SQUARE_AND_MULTIPLY = """\
+cur = None
+k = e
+while True:
+    if k & 1:
+        cur = x if cur is None else prod(cur, x)
+    k >>= 1
+    if not k:
+        break
+    x = prod(x, x)"""
+
+
 class SemigroupContext(ABC):
     """A concrete semigroup instance plus its multiplication counter.
 
@@ -80,21 +95,28 @@ class SemigroupContext(ABC):
     `Powers` and the three collision walks `table_walk`, `probe_walk` and
     `table_walk_all`, make their products without `mul` and add them to
     the counter in one step per exit, so inside one it is updated only at
-    that exit.  Only a family whose product raises can leave it wrong:
-    short by the products made so far.  `mul` stays the one counted single
-    product, for code outside the bulk counters.
+    that exit.  A family's one-step power (zmod, monogenic; see below)
+    counts the products that square and multiply would make.  Only a
+    family whose product raises can leave it wrong: short by the products
+    made so far.  `mul` stays the one counted single product, for code
+    outside the bulk counters.
 
-    The walks come from one template (`_WALK_TEMPLATE`), instantiated per
-    family from `_walk_step` on first use.  The default step calls
-    `_product` once per step; a family whose product is a line or two of
-    arithmetic (zmod, monogenic) writes it into the walks instead, and its
-    walks call no `_product`.  A family that overrides `_walk_step` must
-    step exactly as its `_product` multiplies.
+    `power` and the walks come from one template (`_WALK_TEMPLATE`),
+    instantiated per family from `_walk_step` on first use.  The default
+    step calls `_product` once per step and the default power squares and
+    multiplies with it; a family whose product is a line or two of
+    arithmetic (zmod, monogenic) writes it into the walks instead, and
+    takes x^e in one step of the same arithmetic, so its walks and powers
+    call no `_product`.  A family that overrides `_walk_step` must step
+    exactly as its `_product` multiplies and return the power that square
+    and multiply over its `_product` would.
     """
 
     family: str = "abstract"
-    # (BIND, STEP) source fragments of the walks' product step
-    _walk_step = ("prod = ctx._product", "cur = prod(cur, step)")
+    # (BIND, STEP, POWER) source fragments of the walks' product step and
+    # of power's x^e
+    _walk_step = ("prod = ctx._product", "cur = prod(cur, step)",
+                  _SQUARE_AND_MULTIPLY)
 
     def __init__(self) -> None:
         self.mult_count = 0
@@ -155,25 +177,16 @@ def multiply(ctx: SemigroupContext, a, b):
 
 
 def power(ctx: SemigroupContext, x, e: int):
-    """x^e by square and multiply, for e >= 1.
+    """x^e, for e >= 1, by square and multiply or the family's one-step
+    power (see SemigroupContext).
 
-    Uses exactly (bit_length(e) - 1) + (popcount(e) - 1) multiplications,
-    which is at most 2*floor(log2 e) + 1, added to the counter at the exit.
+    Counts exactly (bit_length(e) - 1) + (popcount(e) - 1)
+    multiplications, the products of square and multiply, which is at
+    most 2*floor(log2 e) + 1, added to the counter at the exit.
     """
     check_context(ctx)
     check_int(e, "exponent", 1)  # no x^0: a semigroup has no identity
-    prod = ctx._product
-    result = None
-    base = x
-    k = e
-    while True:
-        if k & 1:
-            result = base if result is None else prod(result, base)
-        k >>= 1
-        if not k:
-            ctx.mult_count += e.bit_length() + e.bit_count() - 2
-            return result
-        base = prod(base, base)
+    return _walks(ctx._walk_step).power(ctx, x, e)
 
 
 class Powers:
@@ -216,12 +229,20 @@ class Powers:
         return result
 
 
-# The collision walks, written once.  A family's `_walk_step` is a pair of
-# source fragments: BIND, the statements that read what its product needs
-# from `ctx`, and STEP, the statements that set `cur` to cur*step.  The
-# template is instantiated once per distinct pair, on first use, and
-# shared by every context of the family.
+# `power` and the collision walks, written once.  A family's `_walk_step`
+# is a triple of source fragments: BIND, the statements that read what its
+# product needs from `ctx`, STEP, the statements that set `cur` to
+# cur*step, and POWER, the statements that set `cur` to x^e and leave e
+# as it was.  The template is instantiated once per distinct triple, on
+# first use, and shared by every context of the family.
 _WALK_TEMPLATE = """\
+def power(ctx, x, e):
+    BIND
+    POWER
+    ctx.mult_count += e.bit_length() + e.bit_count() - 2
+    return cur
+
+
 def table_walk(ctx, start, step, n):
     BIND
     table = {start: 0}
@@ -263,24 +284,26 @@ def table_walk_all(ctx, start, step, n):
 
 @cache
 def _walks(walk_step: tuple) -> SimpleNamespace:
-    """The three walks of _WALK_TEMPLATE for one (BIND, STEP) pair.
+    """`power` and the three walks of _WALK_TEMPLATE for one (BIND, STEP,
+    POWER) triple.
 
     Each placeholder line is replaced by the fragment's lines at that
     line's indentation.  The source is built from the families' own class
     attributes only, never from input.
     """
-    fragments = dict(zip(("BIND", "STEP"), walk_step))
+    fragments = dict(zip(("BIND", "STEP", "POWER"), walk_step))
 
     def fill(match):
         indent = match.group(1)
         return "\n".join(indent + line
                          for line in fragments[match.group(2)].splitlines())
 
-    source = re.sub(r"^( *)(BIND|STEP)$", fill, _WALK_TEMPLATE, flags=re.M)
+    source = re.sub(r"^( *)(BIND|STEP|POWER)$", fill, _WALK_TEMPLATE,
+                    flags=re.M)
     namespace = {}
     exec(compile(source, "<semidlog walks>", "exec"), namespace)
-    return SimpleNamespace(**{name: namespace[name] for name in
-                              ("table_walk", "probe_walk", "table_walk_all")})
+    return SimpleNamespace(**{name: namespace[name] for name in (
+        "power", "table_walk", "probe_walk", "table_walk_all")})
 
 
 def table_walk(ctx: SemigroupContext, start, step, n: int):

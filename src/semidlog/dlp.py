@@ -11,9 +11,11 @@ search, and a shifted target y' with y'^L != x^(tL) is no group element
 (Lagrange), so no power, at a cost of O(log L).  What remains is one
 discrete log in the group, taken over a split of L: semigroup_dlog uses
 [(L, 1)], a single BSGS run, and pohlig_hellman_dlog the prime
-factorization of L, with base-p digits per prime power.  Both return the
-complete solution set: a unique exponent below the cycle start, or an
-arithmetic progression with period L.
+factorization of L, with base-p digits per prime power.  The split is
+made only for a target that reaches the group log, so a tail or
+non-member target never factors L.  Both return the complete solution
+set: a unique exponent below the cycle start, or an arithmetic
+progression with period L.
 
 Integer factorization and CRT support live in `numtheory` and are
 re-exported here for convenience.
@@ -258,7 +260,7 @@ def _group_log(ctx, gv, y_prime, factorization, records):
     return crt_combine(residues)
 
 
-def _solve(ctx, x, y, cycle, factorization, trace, records):
+def _solve(ctx, x, y, cycle, split, trace, records):
     """The reduction shared by both solvers.
 
     A y with y*x^L != y is off the cycle, so only a unique m < s can
@@ -267,10 +269,10 @@ def _solve(ctx, x, y, cycle, factorization, trace, records):
     Otherwise shift y into the group (binary search for b) and
     reject a y' with y'^L != x^(tL), which no group element is, in about
     2 log2 L multiplications.  Then take m' = log of y' to the base x'
-    over the parts of `factorization` (see _group_log).  With
-    A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group is
-    c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills in
-    `trace` and returns (DlogSolution, trace).
+    over the parts of split(L), the one call of `split` (see _group_log).
+    With A = (tL+1)m', the maximal c that keeps x^(A - cL) in the group
+    is c = (A - s) // L, and A - (b+c)L is the discrete logarithm.  Fills
+    in `trace` and returns (DlogSolution, trace).
     """
     check_context(ctx).validate(y)
     gv = make_group_view(ctx, x, cycle)  # validates x
@@ -289,7 +291,7 @@ def _solve(ctx, x, y, cycle, factorization, trace, records):
     if power(ctx, y_prime, length) != gv.identity:
         raise NoSolutionError("y*x^(bL) fails y'^L = x^(tL), so it is not "
                               "in the group; y is not a power of the base")
-    m_prime = _group_log(ctx, gv, y_prime, factorization, records)
+    m_prime = _group_log(ctx, gv, y_prime, split(length), records)
     m_eff = m_prime if m_prime else length  # no x^0: identity is (x')^L
     a = (gv.t * length + 1) * m_eff
     c = (a - s) // length
@@ -314,7 +316,7 @@ def semigroup_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     Returns (DlogSolution, DlogTrace); raises NoSolutionError when y is
     not a power of x.
     """
-    return _solve(ctx, x, y, cycle, [(_check_cycle(cycle).cycle_length, 1)],
+    return _solve(ctx, x, y, cycle, lambda length: [(length, 1)],
                   DlogTrace(), [])
 
 
@@ -325,18 +327,24 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     BSGS runs in the order-p subgroups (at most ceil(sqrt(p)) + 1 table
     entries each) take the base-p digits of each p^e, and the CRT joins
     the residues, so both solvers return identical solution sets.  The
-    same O(log L) non-member exit runs before any digit, and the same tail
-    walk where s - 1 <= ceil(sqrt(L)).
-    Raises SemigroupError when L cannot be factored.
+    same tail walk runs where s - 1 <= ceil(sqrt(L)), and the same
+    O(log L) non-member exit, both before L is factored: their answers
+    hold for any L.  Only a target that reaches the group log needs the
+    factorization, and raises SemigroupError when L cannot be factored.
     """
+    trace = PohligHellmanTrace()
+    return _solve(ctx, x, y, cycle, _prime_split, trace,
+                  trace.prime_records)
+
+
+def _prime_split(length):
+    """The prime factorization of L, or SemigroupError where
+    factor_integer refuses L."""
     try:
-        factorization = factor_integer(_check_cycle(cycle).cycle_length)
+        return factor_integer(length)
     except ValueError as exc:
         raise SemigroupError(
             f"cannot factor the cycle length: {exc}") from None
-    trace = PohligHellmanTrace()
-    return _solve(ctx, x, y, cycle, factorization, trace,
-                  trace.prime_records)
 
 
 DLOG_SOLVERS = {"reduction": semigroup_dlog,

@@ -129,7 +129,8 @@ class ZModContext(SemigroupContext):
     """Multiplicative semigroup of integers modulo n."""
 
     family = "zmod"
-    _walk_step = ("m = ctx.modulus", "cur = cur * step % m")
+    _walk_step = ("m = ctx.modulus", "cur = cur * step % m",
+                  "cur = pow(x, e, m)")
 
     def __init__(self, modulus: int):
         _int_param(modulus, "modulus", 2)
@@ -392,15 +393,18 @@ class MonogenicContext(SemigroupContext):
 
     Elements are canonical exponents e in [1, s+L-1] of the generator;
     products add exponents and reduce with canon(n) = n for n <= s+L-1,
-    else ((n - s) mod L) + s.  The generator (e = 1) has cycle start
-    exactly s and cycle length exactly L, which makes abstract (s, L)
-    scenarios executable.
+    else ((n - s) mod L) + s, so the power a^k is canon(a*k).  The
+    generator (e = 1) has cycle start exactly s and cycle length exactly
+    L, which makes abstract (s, L) scenarios executable.
     """
 
     family = "monogenic"
     _walk_step = ("order, s, L = ctx.order, ctx.cycle_start, "
                   "ctx.cycle_length",
                   "cur += step\n"
+                  "if cur > order:\n"
+                  "    cur = (cur - s) % L + s",
+                  "cur = x * e\n"
                   "if cur > order:\n"
                   "    cur = (cur - s) % L + s")
 

@@ -160,21 +160,24 @@ def suite_product_reference(seed: int) -> SuiteResult:
 
 def walk_results(ctx, start, step, n: int, probe_keys) -> list:
     """Each collision walk's result from (start, step, n), probe_walk's
-    against a table of `probe_keys`, with the products it counted."""
+    against a table of `probe_keys`, and start^(n+1), each with the
+    products it counted."""
     probe = {key: i for i, key in enumerate(probe_keys)}
     results = []
     for walk in (lambda: table_walk(ctx, start, step, n),
                  lambda: table_walk_all(ctx, start, step, n),
-                 lambda: probe_walk(ctx, probe, start, step, max(n, 1))):
+                 lambda: probe_walk(ctx, probe, start, step, max(n, 1)),
+                 lambda: power(ctx, start, n + 1)):
         before = ctx.mult_count
         results.append((walk(), ctx.mult_count - before))
     return results
 
 
 def suite_walk_reference(seed: int) -> SuiteResult:
-    """The walks zmod and monogenic write their product into, against the
-    generic walks, which call `_product` once per step, on seeded
-    instances: the same tables, last values, repeats, hits and counts."""
+    """The walks and powers zmod and monogenic write their product into,
+    against the generic ones, which call `_product` once per product, on
+    seeded instances: the same tables, last values, repeats, hits, powers
+    and counts."""
     rng = random.Random(seed)
     for i in range(40):
         if i % 2:

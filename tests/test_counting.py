@@ -15,8 +15,11 @@ run the route to its end (a normal return or a documented raise).  The
 results and the counters must agree, and the generic counter must equal
 its raw calls; a family without a product step of its own must match its
 raw calls too.  A guard test checks that the zmod and monogenic walks
-make no `_product` call at all.
+and powers make no `_product` call at all, and a seeded test that their
+one-step powers match square and multiply.
 """
+
+import random
 
 import pytest
 
@@ -334,6 +337,7 @@ GUARDED_WALKS = {
     "table_walk": lambda ctx, a, b: table_walk(ctx, a, b, 20),
     "probe_walk": lambda ctx, a, b: probe_walk(ctx, {}, a, b, 20),
     "table_walk_all": lambda ctx, a, b: table_walk_all(ctx, a, b, 20),
+    "power": lambda ctx, a, b: power(ctx, a, 20),
 }
 OWN_STEP_FAMILIES = {
     "zmod": (lambda: ZModContext(1000), 2, 3),
@@ -372,3 +376,51 @@ def test_monogenic_product_matches_canon_at_the_wrap(s, length):
             assert ctx._product(a, n - a) == _canon(n, s, length)
             checked += 1
     assert checked
+
+
+def _power_bases(rng):
+    """Seeded (context factory, base) pairs: zmod moduli from 2 to 130
+    bits, and monogenic instances with s = 1, L = 1 and both at once,
+    with bases before the cycle (when s > 1) and inside it."""
+    cases = []
+    for modulus in (2, 3, 10, 1000, rng.randint(2, 10 ** 6),
+                    rng.getrandbits(130) | 2):
+        make = (lambda m=modulus: ZModContext(m))
+        cases += [(make, 0), (make, 1), (make, modulus - 1),
+                  (make, rng.randrange(modulus))]
+    for s, length in ((1, 1), (1, 2), (1, rng.randint(3, 10 ** 4)),
+                      (2, 1), (rng.randint(3, 10 ** 4), 1),
+                      (rng.randint(2, 60), rng.randint(2, 60)),
+                      (rng.randint(2, 10 ** 6), rng.randint(2, 10 ** 6)),
+                      (rng.getrandbits(90) + 2, rng.getrandbits(90) + 2)):
+        make = (lambda s=s, length=length: MonogenicContext(s, length))
+        order = s + length - 1
+        if s > 1:
+            cases += [(make, 1), (make, s - 1), (make, rng.randint(1, s - 1))]
+        cases += [(make, s), (make, order), (make, rng.randint(s, order))]
+    return cases
+
+
+def _power_exponents(rng):
+    """1, 2, 3, the ends of 2^200 and seeded exponents of every bit
+    length up to 200."""
+    return ([1, 2, 3, (1 << 200) - 1, 1 << 200]
+            + [rng.getrandbits(bits) | (1 << (bits - 1))
+               for bits in rng.sample(range(2, 201), 12)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_step_power_matches_square_and_multiply(seed):
+    """zmod's pow(x, e, m) and monogenic's x*e reduced once give the
+    power and the count of the generic square and multiply, which calls
+    `_product` once per counted multiplication."""
+    rng = random.Random(seed)
+    for make, x in _power_bases(rng):
+        for e in _power_exponents(rng):
+            own, generic = make(), _generic(make())
+            own_calls = _count_raw_products(own)
+            calls = _count_raw_products(generic)
+            assert power(own, x, e) == power(generic, x, e), (own, x, e)
+            assert own.mult_count == generic.mult_count == calls[0] \
+                == e.bit_length() + e.bit_count() - 2
+            assert own_calls[0] == 0

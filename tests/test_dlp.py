@@ -6,6 +6,7 @@ import pytest
 from semidlog import dlp
 from semidlog import (
     CycleStructure,
+    DlogSolution,
     DlogTrace,
     IncompatibleElementError,
     MonogenicContext,
@@ -372,9 +373,79 @@ def test_dlp_helpers_reject_foreign_elements(call):
 
 
 def test_ph_unfactorable_cycle_length_is_a_semigroup_error():
-    # factor_integer stops at 2^63; its ValueError must not escape
+    # factor_integer stops at 2^63; its ValueError must not escape.  Only
+    # a target that reaches the group log factors L: y = x^5 lies in the
+    # group of x = 1 and passes the non-member exit
+    length = (1 << 63) + 1
     with pytest.raises(SemigroupError, match="cannot factor"):
-        pohlig_hellman_dlog(ZModContext(101), 2, 4, CycleStructure(1, 1 << 63))
+        pohlig_hellman_dlog(MonogenicContext(1, length), 1, 5,
+                            CycleStructure(1, length))
+
+
+# a 122-bit cycle length, past factor_integer's 2^63 limit.  The base
+# x = g^2 has x^m = canon(2m), so cycle start 3 and cycle length L/2;
+# an odd in-cycle exponent y is no power of it, and y^(L/2) = g^(L/2) is
+# not the identity g^L, so the non-member exit rejects y unfactored
+BIG_L = 2 ** 70 * 3 ** 20 * 1000003
+
+
+def big_base():
+    ctx = MonogenicContext(5, BIG_L)
+    cyc = CycleStructure(3, BIG_L // 2)
+    assert power(ctx, 2, cyc.cycle_start + cyc.cycle_length) == 6
+    assert power(ctx, 2, cyc.cycle_start - 1) == 4
+    assert power(ctx, 2, cyc.cycle_start + cyc.cycle_length // 3) != 6
+    return ctx, 2, cyc
+
+
+@pytest.mark.parametrize("solver", [semigroup_dlog, pohlig_hellman_dlog])
+@pytest.mark.parametrize("y", [5, 7, BIG_L // 2 + 1, BIG_L + 3],
+                         ids=["5", "7", "L/2+1", "L+3"])
+def test_unfactorable_cycle_length_non_power_has_no_solution(solver, y):
+    ctx, x, cyc = big_base()
+    with pytest.raises(NoSolutionError, match="not in the group"):
+        solver(ctx, x, y, cyc)
+
+
+@pytest.mark.parametrize("y, m", [(2, 1), (4, 2)])
+def test_unfactorable_cycle_length_tail_target_is_unique(y, m):
+    answers = []
+    for solver in (semigroup_dlog, pohlig_hellman_dlog):
+        ctx, x, cyc = big_base()
+        sol, trace = solver(ctx, x, y, cyc)
+        answers.append(sol)
+        assert trace.raw == m
+    assert answers == [DlogSolution("unique", m)] * 2
+
+
+def test_unfactorable_cycle_length_off_cycle_non_power():
+    # y = 3 = g^3 lies off the cycle and is no power of x = g^2
+    for solver in (semigroup_dlog, pohlig_hellman_dlog):
+        ctx, x, cyc = big_base()
+        with pytest.raises(NoSolutionError, match="off the cycle"):
+            solver(ctx, x, 3, cyc)
+
+
+def test_ph_factors_the_cycle_length_only_for_a_group_log(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor_integer(n)
+
+    monkeypatch.setattr(dlp, "factor_integer", counted)
+    ctx = MonogenicContext(9, 360)
+    cyc = CycleStructure(5, 180)  # x = g^2
+    # a tail power, an off-cycle non-power and an in-cycle non-power
+    for y in (4, 3, 9):
+        try:
+            pohlig_hellman_dlog(ctx, 2, y, cyc)
+        except NoSolutionError:
+            pass
+    assert calls == []
+    sol, _ = pohlig_hellman_dlog(ctx, 2, power(ctx, 2, 1000), cyc)
+    assert sol.contains(1000)
+    assert calls == [180]
 
 
 def test_trace_json_keys():
