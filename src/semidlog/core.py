@@ -96,7 +96,8 @@ class SemigroupContext(ABC):
     `table_walk_all`, make their products without `mul` and add them to
     the counter in one step per exit, so inside one it is updated only at
     that exit.  A family's one-step power (zmod, monogenic; see below)
-    counts the products that square and multiply would make.  Only a
+    counts the products that square and multiply would make, and its
+    one-step ladder those that the ladder's squares would.  Only a
     family whose product raises can leave it wrong: short by the products
     made so far.  `mul` stays the one counted single product, for code
     outside the bulk counters.
@@ -106,10 +107,10 @@ class SemigroupContext(ABC):
     step calls `_product` once per step and the default power squares and
     multiplies with it; a family whose product is a line or two of
     arithmetic (zmod, monogenic) writes it into the walks instead, and
-    takes x^e in one step of the same arithmetic, so its walks and powers
-    call no `_product`.  A family that overrides `_walk_step` must step
-    exactly as its `_product` multiplies and return the power that square
-    and multiply over its `_product` would.
+    takes x^e in one step of the same arithmetic, so its walks, powers and
+    ladders call no `_product`.  A family that overrides `_walk_step` must
+    step exactly as its `_product` multiplies and return the power that
+    square and multiply over its `_product` would.
     """
 
     family: str = "abstract"
@@ -186,28 +187,51 @@ def power(ctx: SemigroupContext, x, e: int):
     """
     check_context(ctx)
     check_int(e, "exponent", 1)  # no x^0: a semigroup has no identity
-    return _walks(ctx._walk_step).power(ctx, x, e)
+    result = _walks(ctx._walk_step).power(ctx, x, e)
+    ctx.mult_count += e.bit_length() + e.bit_count() - 2
+    return result
 
 
 class Powers:
-    """Fixed-base powers x^e of one base x, from stored squares.
+    """Fixed-base powers x^e of one base x, at the cost of stored squares.
 
-    Keeps the squares x^(2^i) made so far, so x^e costs only the squares
-    it is the first to need plus popcount(e) - 1 products, added to the
-    counter once, at the exit.  Brickell, Gordon, McCurley and Wilson's
-    fixed-base exponentiation in its plainest form: worth it wherever one
-    call takes several powers of the same base.  Build one inside a call
-    and drop it at the end; the squares are never shared between calls.
+    Brickell, Gordon, McCurley and Wilson's fixed-base exponentiation in
+    its plainest form: the ladder keeps the squares x^(2^i) made so far,
+    so x^e costs only the squares it is the first to need plus
+    popcount(e) - 1 products, added to the counter once, at the exit.
+    Worth it wherever one call takes several powers of the same base.
+
+    A family with a POWER fragment of its own (zmod, monogenic; see
+    SemigroupContext) makes each x^e in one step of that fragment and
+    stores no squares.  It counts what the squares would: popcount(e) - 1,
+    plus bit_length(e) - top when that is positive, where `top` is the
+    largest bit length reached so far in this ladder.  Other families keep
+    the list of squares.  The path is taken from `ctx._walk_step` when the
+    ladder is built.  Build one inside a call and drop it at the end; the
+    squares are never shared between calls.
     """
 
-    __slots__ = ("ctx", "squares")
+    __slots__ = ("ctx", "squares", "top", "one_step")
 
     def __init__(self, ctx: SemigroupContext, x) -> None:
         self.ctx = ctx
         self.squares = [x]
+        self.top = 1  # x = x^(2^0) is the first square
+        walk_step = ctx._walk_step
+        self.one_step = (None if walk_step[2] == _SQUARE_AND_MULTIPLY
+                         else _walks(walk_step).power)
 
     def __call__(self, e: int):
         check_int(e, "exponent", 1)
+        if self.one_step is not None:
+            result = self.one_step(self.ctx, self.squares[0], e)
+            made = e.bit_count() - 1
+            bits = e.bit_length()
+            if bits > self.top:
+                made += bits - self.top
+                self.top = bits
+            self.ctx.mult_count += made
+            return result
         squares = self.squares
         prod = self.ctx._product
         made = 0
@@ -229,17 +253,17 @@ class Powers:
         return result
 
 
-# `power` and the collision walks, written once.  A family's `_walk_step`
-# is a triple of source fragments: BIND, the statements that read what its
-# product needs from `ctx`, STEP, the statements that set `cur` to
-# cur*step, and POWER, the statements that set `cur` to x^e and leave e
-# as it was.  The template is instantiated once per distinct triple, on
-# first use, and shared by every context of the family.
+# x^e, uncounted (`power` and `Powers` count it), and the collision walks,
+# written once.  A family's `_walk_step` is a triple of source fragments:
+# BIND, the statements that read what its product needs from `ctx`, STEP,
+# the statements that set `cur` to cur*step, and POWER, the statements
+# that set `cur` to x^e and leave e as it was.  The template is
+# instantiated once per distinct triple, on first use, and shared by every
+# context of the family.
 _WALK_TEMPLATE = """\
 def power(ctx, x, e):
     BIND
     POWER
-    ctx.mult_count += e.bit_length() + e.bit_count() - 2
     return cur
 
 
@@ -284,8 +308,8 @@ def table_walk_all(ctx, start, step, n):
 
 @cache
 def _walks(walk_step: tuple) -> SimpleNamespace:
-    """`power` and the three walks of _WALK_TEMPLATE for one (BIND, STEP,
-    POWER) triple.
+    """The uncounted power and the three walks of _WALK_TEMPLATE for one
+    (BIND, STEP, POWER) triple.
 
     Each placeholder line is replaced by the fragment's lines at that
     line's indentation.  The source is built from the families' own class

@@ -57,10 +57,11 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     """Exact cycle structure by iterating x, x^2, ... until the first
     repeated value: seen at exponent b with an earlier occurrence at a, it
     gives cycle start a and cycle length b - a.  Raises when no repeat
-    shows up within `cap` steps (element not torsion within cap).
+    shows up within `cap` steps (element not torsion within cap);
+    DomainError unless `cap` is an integer >= 1.
     """
     check_context(ctx).validate(x)
-    check_int(cap, "cap")
+    check_int(cap, "cap", 1)
     # the walk's index k stands for the exponent k + 1, so it checks 1..cap
     _, _, repeat = table_walk(ctx, x, x, cap - 1)
     if repeat is None:

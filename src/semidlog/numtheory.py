@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate, chain, cycle
 
 from .core import DomainError, check_int
@@ -75,8 +76,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256, typed=True)
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than n.
+
+    Memoised: the bound-free Monico search asks for the same primes
+    above 4^0, 4^1, ... on every call.  The cache is bounded, at 256
+    arguments, least recently used first out; `typed` keeps an int and
+    an equal float apart.
+    """
     c = max(n + 1, 2)
     if c > 2 and c % 2 == 0:
         c += 1

@@ -1,12 +1,13 @@
 """Built-in consistency suites for the CLI selftest command.
 
 Fast versions of the library's core guarantees: each family's product
-against a short reference that does not use it, the collision walks with
-a family's own product step against the generic walks, algorithm-vs-oracle
-equivalence, the two textbook counterexample scenarios, the power-period
-equivalence, inverse correctness, and agreement of the two discrete-log
-solvers.  Each suite returns a named pass/fail result so a regression is
-identified by property, not just by exit code.
+against a short reference that does not use it, the collision walks,
+powers and ladders with a family's own product step against the generic
+ones, algorithm-vs-oracle equivalence, the two textbook counterexample
+scenarios, the power-period equivalence, inverse correctness, and
+agreement of the two discrete-log solvers.  Each suite returns a named
+pass/fail result so a regression is identified by property, not just by
+exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .core import (
+    Powers,
     SemigroupContext,
     power,
     probe_walk,
@@ -160,24 +162,28 @@ def suite_product_reference(seed: int) -> SuiteResult:
 
 def walk_results(ctx, start, step, n: int, probe_keys) -> list:
     """Each collision walk's result from (start, step, n), probe_walk's
-    against a table of `probe_keys`, and start^(n+1), each with the
-    products it counted."""
+    against a table of `probe_keys`, start^(n+1), and a short run of one
+    `Powers` ladder of start (growing, shrinking, repeated, 1 and above
+    2^64), each with the products it counted."""
     probe = {key: i for i, key in enumerate(probe_keys)}
+    ladder = Powers(ctx, start)
     results = []
     for walk in (lambda: table_walk(ctx, start, step, n),
                  lambda: table_walk_all(ctx, start, step, n),
                  lambda: probe_walk(ctx, probe, start, step, max(n, 1)),
-                 lambda: power(ctx, start, n + 1)):
+                 lambda: power(ctx, start, n + 1),
+                 *(lambda e=e: ladder(e) for e in (
+                     n + 1, 1, 4 * n + 3, n + 1, (1 << 64) + n))):
         before = ctx.mult_count
         results.append((walk(), ctx.mult_count - before))
     return results
 
 
 def suite_walk_reference(seed: int) -> SuiteResult:
-    """The walks and powers zmod and monogenic write their product into,
-    against the generic ones, which call `_product` once per product, on
-    seeded instances: the same tables, last values, repeats, hits, powers
-    and counts."""
+    """The walks, powers and ladders zmod and monogenic write their
+    product into, against the generic ones, which call `_product` once per
+    product, on seeded instances: the same tables, last values, repeats,
+    hits, powers and counts."""
     rng = random.Random(seed)
     for i in range(40):
         if i % 2:
@@ -195,10 +201,11 @@ def suite_walk_reference(seed: int) -> SuiteResult:
         if got != walk_results(generic, start, step, n, probe_keys):
             return SuiteResult(
                 "walk-reference", False,
-                f"{own!r}: walks from {start!r} by {step!r}, n = {n}, "
-                "differ from the generic walks")
+                f"{own!r}: walks, powers or ladders from {start!r} by "
+                f"{step!r}, n = {n}, differ from the generic ones")
     return SuiteResult("walk-reference", True,
-                       "zmod and monogenic walks match the generic walks")
+                       "zmod and monogenic walks, powers and ladders match "
+                       "the generic ones")
 
 
 def suite_oracle_equivalence(seed: int) -> SuiteResult:

@@ -14,9 +14,10 @@ the family's own walks, one forced onto the generic walks.  Both shadow
 run the route to its end (a normal return or a documented raise).  The
 results and the counters must agree, and the generic counter must equal
 its raw calls; a family without a product step of its own must match its
-raw calls too.  A guard test checks that the zmod and monogenic walks
-and powers make no `_product` call at all, and a seeded test that their
-one-step powers match square and multiply.
+raw calls too.  A guard test checks that the zmod and monogenic walks,
+powers and ladders make no `_product` call at all, and seeded tests that
+their one-step powers match square and multiply and their one-step
+ladders the ladder of stored squares.
 """
 
 import random
@@ -338,6 +339,8 @@ GUARDED_WALKS = {
     "probe_walk": lambda ctx, a, b: probe_walk(ctx, {}, a, b, 20),
     "table_walk_all": lambda ctx, a, b: table_walk_all(ctx, a, b, 20),
     "power": lambda ctx, a, b: power(ctx, a, 20),
+    "Powers": lambda ctx, a, b: [Powers(ctx, a)(e)
+                                 for e in (20, 3, 70, 20, 1, 1 << 65)],
 }
 OWN_STEP_FAMILIES = {
     "zmod": (lambda: ZModContext(1000), 2, 3),
@@ -424,3 +427,41 @@ def test_one_step_power_matches_square_and_multiply(seed):
             assert own.mult_count == generic.mult_count == calls[0] \
                 == e.bit_length() + e.bit_count() - 2
             assert own_calls[0] == 0
+
+
+def _ladder_exponents(rng):
+    """A seeded run of exponents: growing powers of 4 as in the x4 bound
+    search, random ones that shrink and grow, repeats, the exponent 1 and
+    exponents above 2^62."""
+    exponents = []
+    for _ in range(60):
+        kind = rng.randrange(6)
+        if kind == 0:
+            exponents.append(4 ** rng.randint(0, 40))
+        elif kind == 1 and exponents:
+            exponents.append(rng.choice(exponents))
+        elif kind == 2:
+            exponents.append(1)
+        elif kind == 3:
+            exponents.append(rng.getrandbits(rng.randint(63, 130)) | 1 << 62)
+        else:
+            exponents.append(rng.randint(1, 1 << rng.randint(1, 40)))
+    return exponents
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_step_ladder_matches_the_squares_ladder(seed):
+    """zmod's and monogenic's one-step `Powers` give, after every call,
+    the value and the count of the ladder of stored squares, which calls
+    `_product` once per counted multiplication."""
+    rng = random.Random(seed)
+    for make, x in _power_bases(rng):
+        own, generic = make(), _generic(make())
+        own_calls = _count_raw_products(own)
+        calls = _count_raw_products(generic)
+        own_ladder, generic_ladder = Powers(own, x), Powers(generic, x)
+        for e in _ladder_exponents(rng):
+            assert own_ladder(e) == generic_ladder(e), (own, x, e)
+            assert own.mult_count == generic.mult_count == calls[0]
+        assert own_calls[0] == 0
+        assert len(own_ladder.squares) == 1  # no squares stored

@@ -129,6 +129,7 @@ MORE_ENTRY_CASES = {
 # checks of factor_integer, crt_combine and CycleStructure have their own
 # DomainError tests); each raises DomainError
 RANGE_CASES = {
+    "brute_force_cycle-cap-0": lambda: brute_force_cycle(_zmod(), 2, cap=0),
     "cycle_start_search-length-0": lambda: cycle_start_search(_zmod(), 2, 0),
     "monico_strip-g-0": lambda: monico_strip(_zmod(), 2, 3, 0, 10),
     "monico_strip-anchor-0": lambda: monico_strip(_zmod(), 2, 0, 20, 10),
