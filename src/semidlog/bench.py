@@ -30,7 +30,7 @@ class BenchRecord:
     trial: int
     seed: int
     multiplications: int
-    table_peak: int | None
+    table_peak: int
     wall_time_s: float
     success: bool | None
 

@@ -65,18 +65,15 @@ def check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
-# The default POWER fragment: cur = x^e by square and multiply over
-# `prod`, which the default BIND binds
+# The default POWER fragment: cur = x^e by left-to-right square and
+# multiply, squaring with `prod` and multiplying by x with `times`, both
+# bound by the default BIND
 _SQUARE_AND_MULTIPLY = """\
-cur = None
-k = e
-while True:
-    if k & 1:
-        cur = x if cur is None else prod(cur, x)
-    k >>= 1
-    if not k:
-        break
-    x = prod(x, x)"""
+cur = x
+for bit in bin(e)[3:]:
+    cur = prod(cur, cur)
+    if bit == "1":
+        cur = times(cur)"""
 
 
 class SemigroupContext(ABC):
@@ -104,20 +101,25 @@ class SemigroupContext(ABC):
 
     `power` and the walks come from one template (`_WALK_TEMPLATE`),
     instantiated per family from `_walk_step` on first use.  The default
-    step calls `_product` once per step and the default power squares and
-    multiplies with it; a family whose product is a line or two of
-    arithmetic (zmod, monogenic) writes it into the walks instead, and
-    takes x^e in one step of the same arithmetic, so its walks, powers and
-    ladders call no `_product`.  A family that overrides `_walk_step` must
-    step exactly as its `_product` multiplies and return the power that
-    square and multiply over its `_product` would.
+    step binds the walk's fixed step b once per call with `_right(b)`, a
+    callable a -> a*b, and applies it once per step; the default power
+    squares with `_product` and multiplies by its base through `_right`,
+    and the squares ladder binds each stored square it multiplies by once.
+    The default `_right` wraps `_product`; matmod and transformation
+    override it to do the work that depends on b alone once per binding.
+    A family whose product is a line or two of arithmetic (zmod,
+    monogenic) writes it into the walks instead, and takes x^e in one step
+    of the same arithmetic, so its walks, powers and ladders call no
+    `_product`.  A family that overrides `_walk_step` or
+    `_right` must step exactly as its `_product` multiplies and return the
+    power that square and multiply over its `_product` would.
     """
 
     family: str = "abstract"
     # (BIND, STEP, POWER) source fragments of the walks' product step and
     # of power's x^e
-    _walk_step = ("prod = ctx._product", "cur = prod(cur, step)",
-                  _SQUARE_AND_MULTIPLY)
+    _walk_step = ("prod = ctx._product\ntimes = ctx._right(step)",
+                  "cur = times(cur)", _SQUARE_AND_MULTIPLY)
 
     def __init__(self) -> None:
         self.mult_count = 0
@@ -145,6 +147,12 @@ class SemigroupContext(ABC):
     @abstractmethod
     def element_json(self, a) -> dict:
         """Element as a parseable spec document (see instances module)."""
+
+    def _right(self, b):
+        """The product by the fixed right factor b, a -> a*b, uncounted,
+        for many products by one b.  The default wraps `_product`."""
+        product = self._product
+        return lambda a: product(a, b)
 
     def mul(self, a, b):
         """Counted product. Internal fast path, inputs assumed valid."""
@@ -206,16 +214,19 @@ class Powers:
     stores no squares.  It counts what the squares would: popcount(e) - 1,
     plus bit_length(e) - top when that is positive, where `top` is the
     largest bit length reached so far in this ladder.  Other families keep
-    the list of squares.  The path is taken from `ctx._walk_step` when the
-    ladder is built.  Build one inside a call and drop it at the end; the
-    squares are never shared between calls.
+    the list of squares; x^e visits only the set bits of e and multiplies
+    by each square through `ctx._right`, bound once per square, on its
+    first use as a factor.  The path is taken from `ctx._walk_step` when
+    the ladder is built.  Build one inside a call and drop it at the end;
+    the squares are never shared between calls.
     """
 
-    __slots__ = ("ctx", "squares", "top", "one_step")
+    __slots__ = ("ctx", "squares", "rights", "top", "one_step")
 
     def __init__(self, ctx: SemigroupContext, x) -> None:
         self.ctx = ctx
         self.squares = [x]
+        self.rights = {}  # i -> the bound product by squares[i]
         self.top = 1  # x = x^(2^0) is the first square
         walk_step = ctx._walk_step
         self.one_step = (None if walk_step[2] == _SQUARE_AND_MULTIPLY
@@ -232,36 +243,38 @@ class Powers:
                 self.top = bits
             self.ctx.mult_count += made
             return result
-        squares = self.squares
-        prod = self.ctx._product
+        ctx, squares, rights = self.ctx, self.squares, self.rights
+        prod = ctx._product
         made = 0
         for _ in range(len(squares), e.bit_length()):
             squares.append(prod(squares[-1], squares[-1]))
             made += 1
-        result = None
-        i = 0
+        low = e & -e
+        result = squares[low.bit_length() - 1]
+        e ^= low
         while e:
-            if e & 1:
-                if result is None:
-                    result = squares[i]
-                else:
-                    result = prod(result, squares[i])
-                    made += 1
-            e >>= 1
-            i += 1
-        self.ctx.mult_count += made
+            low = e & -e
+            e ^= low
+            i = low.bit_length() - 1
+            times = rights.get(i)
+            if times is None:
+                times = rights[i] = ctx._right(squares[i])
+            result = times(result)
+            made += 1
+        ctx.mult_count += made
         return result
 
 
 # x^e, uncounted (`power` and `Powers` count it), and the collision walks,
 # written once.  A family's `_walk_step` is a triple of source fragments:
-# BIND, the statements that read what its product needs from `ctx`, STEP,
-# the statements that set `cur` to cur*step, and POWER, the statements
-# that set `cur` to x^e and leave e as it was.  The template is
-# instantiated once per distinct triple, on first use, and shared by every
-# context of the family.
+# BIND, the statements that read what its product needs from `ctx` and
+# the fixed factor `step`, STEP, the statements that set `cur` to
+# cur*step, and POWER, the statements that set `cur` to x^e and leave e
+# as it was.  The template is instantiated once per distinct triple, on
+# first use, and shared by every context of the family.
 _WALK_TEMPLATE = """\
 def power(ctx, x, e):
+    step = x  # power's fixed right factor is its base
     BIND
     POWER
     return cur

@@ -452,8 +452,6 @@ class BaninRound(Trace):
 
 @dataclass
 class BaninTrace(Trace):
-    table_peak = None  # the oracle's tables are not tracked
-
     bound: int = 0
     rounds: list = field(default_factory=list)
     lcm_candidate: int = 0
@@ -463,6 +461,13 @@ class BaninTrace(Trace):
     failed_bounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
+
+    @property
+    def table_peak(self) -> int:
+        # the largest oracle baby table: ceil_sqrt(max(b, 2)) + 1 entries
+        # at bound b, which every attempt, failed or final, builds
+        return max(ceil_sqrt(max(b, 2)) + 1
+                   for b in [*self.failed_bounds, self.bound])
 
 
 # Banin-Tsaban's default rounds.  Every answer is verified and reduced to

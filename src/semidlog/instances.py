@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import marshal
 import random
 from functools import cache
 from itertools import repeat
@@ -174,14 +175,16 @@ class ZModContext(SemigroupContext):
 @cache
 def _matmod_kernel(dim: int):
     """The product of two dim x dim matrices modulo m, as straight-line
-    code generated once per dimension and shared by every modulus.
+    code generated once per dimension and shared by every modulus: the
+    pair (kernel, bind).
 
     `kernel(a, b, m)` unpacks b into dim*dim local names and builds each
     row of a*b from one row of a with dim unrolled dot products, each
-    reduced modulo m.  The source is built from range(dim) indices only.
-    It has O(dim^2) terms, so generating it costs about as much as a few
-    products: ~0.3 ms at dim 3, ~0.1 s and ~16 MiB of peak memory at
-    dim 64.
+    reduced modulo m.  `bind(b, m)` unpacks b and m once and returns the
+    same product by that b as a one-argument closure.  The source is
+    built from range(dim) indices only.  It has O(dim^2) terms, so
+    generating it costs about as much as a few products: ~0.3 ms at dim
+    3, ~0.2 s and ~12 MiB of peak memory at dim 64.
     """
     rng = range(dim)
 
@@ -192,22 +195,29 @@ def _matmod_kernel(dim: int):
     row_of_c = "".join(
         "(" + " + ".join(f"r{k}*b{k}_{j}" for k in rng) + ") % m, "
         for j in rng)
-    source = (
-        "def kernel(a, b, m):\n"
-        f"    ({rows_of_b}) = b\n"
-        f"    return tuple([({row_of_c}) for ({names('r')}) in a])\n")
+    product = f"tuple([({row_of_c}) for ({names('r')}) in a])"
     namespace = {}
-    exec(source, namespace)
-    return namespace["kernel"]
+    # compiled one at a time, which keeps the peak memory of one
+    exec("def kernel(a, b, m):\n"
+         f"    ({rows_of_b}) = b\n"
+         f"    return {product}\n", namespace)
+    exec("def bind(b, m):\n"
+         f"    ({rows_of_b}) = b\n"
+         "    def times(a):\n"
+         f"        return {product}\n"
+         "    return times\n", namespace)
+    return namespace["kernel"], namespace["bind"]
 
 
 class MatModContext(SemigroupContext):
     """d x d matrices over Z/mZ under matrix multiplication.
 
     An element is a tuple of d row tuples.  Products run a kernel generated
-    once per dimension (see `_matmod_kernel`), with the modulus passed in.
-    The kernel's source grows as d^3, so d is capped at `max_dim` = 64,
-    where building it takes 0.1-0.4 s and 10-16 MiB and one product ~10 ms.
+    once per dimension (see `_matmod_kernel`), with the modulus passed in;
+    the walks and ladders bind their fixed right factor into the kernel's
+    closure form once.  The kernel's source grows as d^3, so d is capped
+    at `max_dim` = 64, where building both forms takes 0.2-0.8 s and
+    10-16 MiB and one product ~10 ms.
     """
 
     family = "matmod"
@@ -220,7 +230,7 @@ class MatModContext(SemigroupContext):
         self.dim = dim
         self.modulus = modulus
         self._width = _byte_width(modulus - 1)
-        self._kernel = _matmod_kernel(dim)
+        self._kernel, self._bind = _matmod_kernel(dim)
 
     @classmethod
     def from_spec(cls, doc: dict):
@@ -240,6 +250,9 @@ class MatModContext(SemigroupContext):
 
     def _product(self, a, b):
         return self._kernel(a, b, self.modulus)
+
+    def _right(self, b):
+        return self._bind(b, self.modulus)
 
     def key(self, a) -> bytes:
         w = self._width
@@ -275,7 +288,11 @@ class BoolMatContext(SemigroupContext):
     (d-1-i)*d + d-1-j.  Nested 0/1 rows become an element through
     `from_spec`, and `element_json` turns it back.  The constructor keeps
     d masks of d^2 bits, so d is capped at `max_dim` = 256, where they
-    take ~2 MiB and one product ~20 ms.
+    take ~2 MiB and one product ~20 ms.  The walks and ladders multiply by
+    a fixed right factor through the default `_right`, which wraps
+    `_product`: a bound form that copies b's rows into every row once
+    was not measurably faster, as most bound factors of the cycle
+    algorithms are used once or twice.
     """
 
     family = "boolmat"
@@ -337,7 +354,8 @@ class TransformationContext(SemigroupContext):
     """Full transformation semigroup on {1..d}.
 
     Elements are 0-indexed image tuples internally; mul(a, b) applies b
-    first, then a.  Keys use the 1-indexed images, one byte per point,
+    first, then a, as `itemgetter(*b)(a)`.  A bound right factor b keeps
+    its itemgetter.  Keys use the 1-indexed images, one byte per point,
     which caps the supported degree at 255.
     """
 
@@ -348,6 +366,7 @@ class TransformationContext(SemigroupContext):
             raise ElementSpecError("degree must be in [1, 255]", "$.map")
         super().__init__()
         self.degree = degree
+        self._points = bytes(range(degree))
 
     @classmethod
     def from_spec(cls, doc: dict):
@@ -366,20 +385,36 @@ class TransformationContext(SemigroupContext):
         # itemgetter with a single index returns the bare item
         return itemgetter(*b)(a) if self.degree > 1 else (a[b[0]],)
 
+    def _right(self, b):
+        if self.degree > 1:
+            return itemgetter(*b)
+        i, = b
+        return lambda a: (a[i],)
+
     def key(self, a) -> bytes:
         return bytes(a).translate(_PLUS_ONE)
 
     def validate(self, a):
         d = self.degree
-        ok = (
-            isinstance(a, tuple) and len(a) == d
-            and all(map(isinstance, a, repeat(int)))
-            and min(a) >= 0 and max(a) < d
-        )
-        if not ok:
-            raise IncompatibleElementError(
-                f"not a transformation of degree {self.degree}")
-        return a
+        if isinstance(a, tuple) and len(a) == d:
+            try:
+                # bytes() takes the points with __index__ in [0, 256),
+                # translate deletes those below d, and of objects with
+                # __index__ marshal writes only ints and bools: a C-level
+                # pass each
+                if (not bytes(a).translate(None, self._points)
+                        and marshal.dumps(a, 2)):
+                    return a
+            except Exception:  # what __index__ raises, among others
+                pass
+            # the same test point by point, calling no __index__: for
+            # subclasses of int or of tuple, which marshal refuses, and
+            # for whatever the fast test refused
+            if (all(map(isinstance, a, repeat(int)))
+                    and min(a) >= 0 and max(a) < d):
+                return a
+        raise IncompatibleElementError(
+            f"not a transformation of degree {self.degree}")
 
     def describe(self) -> dict:
         return {"type": "transformation", "degree": self.degree}

@@ -2,12 +2,12 @@
 
 Fast versions of the library's core guarantees: each family's product
 against a short reference that does not use it, the collision walks,
-powers and ladders with a family's own product step against the generic
-ones, algorithm-vs-oracle equivalence, the two textbook counterexample
-scenarios, the power-period equivalence, inverse correctness, and
-agreement of the two discrete-log solvers.  Each suite returns a named
-pass/fail result so a regression is identified by property, not just by
-exit code.
+powers and ladders with a family's own product step or bound right
+factor against the generic ones, algorithm-vs-oracle equivalence, the
+two textbook counterexample scenarios, the power-period equivalence,
+inverse correctness, and agreement of the two discrete-log solvers.
+Each suite returns a named pass/fail result so a regression is
+identified by property, not just by exit code.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass
+from types import MethodType
 
 from .core import (
     Powers,
@@ -179,21 +180,40 @@ def walk_results(ctx, start, step, n: int, probe_keys) -> list:
     return results
 
 
+def generic_walks(ctx):
+    """`ctx` on the generic walks, powers and ladders, which call
+    `_product` once per product: the reference for a family's own product
+    step (zmod, monogenic) and its own bound right factor (matmod,
+    transformation)."""
+    ctx._walk_step = SemigroupContext._walk_step
+    ctx._right = MethodType(SemigroupContext._right, ctx)
+    return ctx
+
+
+def _walk_instance(i: int, rng):
+    """The i-th seeded instance of the walk-reference suite: zmod and
+    monogenic, then transformations of degree 1, 2, 64 and 255, and
+    matmod."""
+    if i < 40:
+        if i % 2:
+            return MonogenicContext, (rng.randint(1, 60), rng.randint(1, 60))
+        return ZModContext, (rng.choice(
+            [6, 10, 36, 100, 1000, rng.randint(2, 10 ** 6)]),)
+    if i < 48:
+        return TransformationContext, ((1, 2, 64, 255)[i % 4],)
+    return MatModContext, (rng.randint(1, 4), rng.choice([2, 7, 27]))
+
+
 def suite_walk_reference(seed: int) -> SuiteResult:
     """The walks, powers and ladders zmod and monogenic write their
-    product into, against the generic ones, which call `_product` once per
-    product, on seeded instances: the same tables, last values, repeats,
-    hits, powers and counts."""
+    product into, and those matmod and transformation run with their
+    bound right factors, against the generic ones, which call
+    `_product` once per product, on seeded instances: the same tables,
+    last values, repeats, hits, powers and counts."""
     rng = random.Random(seed)
-    for i in range(40):
-        if i % 2:
-            cls, params = MonogenicContext, (rng.randint(1, 60),
-                                             rng.randint(1, 60))
-        else:
-            cls, params = ZModContext, (rng.choice(
-                [6, 10, 36, 100, 1000, rng.randint(2, 10 ** 6)]),)
-        own, generic = cls(*params), cls(*params)
-        generic._walk_step = SemigroupContext._walk_step
+    for i in range(60):
+        cls, params = _walk_instance(i, rng)
+        own, generic = cls(*params), generic_walks(cls(*params))
         start, step = own.draw(rng), own.draw(rng)
         n = rng.choice([0, 1, rng.randint(2, 300)])
         probe_keys = [own.draw(rng) for _ in range(rng.randint(0, 6))]
@@ -204,8 +224,8 @@ def suite_walk_reference(seed: int) -> SuiteResult:
                 f"{own!r}: walks, powers or ladders from {start!r} by "
                 f"{step!r}, n = {n}, differ from the generic ones")
     return SuiteResult("walk-reference", True,
-                       "zmod and monogenic walks, powers and ladders match "
-                       "the generic ones")
+                       "zmod, monogenic, transformation and matmod walks, "
+                       "powers and ladders match the generic ones")
 
 
 def suite_oracle_equivalence(seed: int) -> SuiteResult:

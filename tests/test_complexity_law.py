@@ -9,18 +9,32 @@ at eighth-octave steps from 2^10 to 2^32 (177 orders), in the four
 criterion-6 (s, L) splits: 708 runs.  The instances are fixed, so the run
 is reproducible without a seed.
 
-The constants below are stated before any run.  On these instances the
-code measured a worst 6.55 * sqrt(N) multiplications, a table peak of
-1.915 * sqrt(N) and a slope of -0.012 per octave.  The x4 bound schedule's
-worst case sits just above a power of 4, and a log factor in the count
-would show as a positive slope.
+A seeded zmod set checks the same constants on planted residues, at the
+eighth-octave orders from 2^10 to 2^20 (81 orders), two runs each: x of
+multiplicative order L = N modulo a prime p = kL + 1 (no tail), and
+modulo 2^a * p, x = 2 mod 2^a and of order L mod p, which puts the cycle
+start at s = a and the order at a + L - 1 = N.
+
+The constants below are stated before any run.  On the monogenic
+instances the code measured a worst 6.55 * sqrt(N) multiplications, a
+table peak of 1.915 * sqrt(N) and a slope of -0.012 per octave; on the
+zmod set 6.55 * sqrt(N), 1.915 * sqrt(N) and -0.061.  The x4 bound
+schedule's worst case sits just above a power of 4, and a log factor in
+the count would show as a positive slope.
 """
 
 import math
+import random
 
 import pytest
 
-from semidlog import MonogenicContext, deterministic_cycle_length
+from semidlog import (
+    MonogenicContext,
+    ZModContext,
+    cycle_start_search,
+    deterministic_cycle_length,
+)
+from semidlog.numtheory import factor_integer, is_prime
 
 MAX_MULTS_PER_SQRT_N = 7.0
 MAX_PEAK_PER_SQRT_N = 2.0       # table_peak <= 2 * sqrt(N) + 1
@@ -52,22 +66,84 @@ def law_runs():
     return runs
 
 
+def _planted_unit(length: int, rng):
+    """(p, u): a prime p = k * length + 1 and a residue u of
+    multiplicative order exactly `length` modulo p."""
+    p = length + 1
+    while not is_prime(p):
+        p += length
+    primes = [q for q, _ in factor_integer(length)]
+    while True:
+        u = pow(rng.randrange(2, p), (p - 1) // length, p)
+        if all(pow(u, length // q, p) != 1 for q in primes):
+            return p, u
+
+
+@pytest.fixture(scope="module")
+def zmod_law_runs():
+    """(N, multiplications, table peak) per planted zmod residue."""
+    rng = random.Random("complexity-law/zmod")
+    runs = []
+    for log2_order in LOG2_ORDERS[:10 * 8 + 1]:
+        order = round(2 ** log2_order)
+        tail = rng.randint(2, 20)
+        p, u = _planted_unit(order, rng)
+        q, v = _planted_unit(order - tail + 1, rng)
+        # x = 2 mod 2^tail and v mod q, by CRT
+        w = 2 + (1 << tail) * ((v - 2) * pow(1 << tail, -1, q) % q)
+        for modulus, x, start in ((p, u, 1), (q << tail, w, tail)):
+            length = order - start + 1
+            ctx = ZModContext(modulus)
+            got, trace = deterministic_cycle_length(ctx, x)
+            assert got == length
+            assert cycle_start_search(ctx, x, length) == start
+            runs.append((order, trace.multiplications, trace.table_peak))
+    assert len(runs) == 162
+    return runs
+
+
+def _worst_mults_per_sqrt_n(runs):
+    return max(mults / math.sqrt(order) for order, mults, _ in runs)
+
+
+def _peaks_over_twice_sqrt_n(runs):
+    return [(order, peak) for order, _, peak in runs
+            if peak > MAX_PEAK_PER_SQRT_N * math.sqrt(order) + 1]
+
+
+def _slope_per_octave(runs):
+    """Least-squares slope of mults / sqrt(N) against log2 N."""
+    xs = [math.log2(order) for order, _, _ in runs]
+    ys = [mults / math.sqrt(order) for order, mults, _ in runs]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+            / sum((x - mean_x) ** 2 for x in xs))
+
+
 def test_multiplications_stay_within_a_constant_times_sqrt_n(law_runs):
-    worst = max(mults / math.sqrt(order) for order, mults, _ in law_runs)
+    worst = _worst_mults_per_sqrt_n(law_runs)
     assert worst <= MAX_MULTS_PER_SQRT_N, worst
 
 
 def test_table_peak_stays_within_twice_sqrt_n(law_runs):
-    over = [(order, peak) for order, _, peak in law_runs
-            if peak > MAX_PEAK_PER_SQRT_N * math.sqrt(order) + 1]
-    assert not over
+    assert not _peaks_over_twice_sqrt_n(law_runs)
 
 
 def test_no_log_factor_in_multiplications_per_sqrt_n(law_runs):
-    """Least-squares slope of mults / sqrt(N) against log2 N."""
-    xs = [math.log2(order) for order, _, _ in law_runs]
-    ys = [mults / math.sqrt(order) for order, mults, _ in law_runs]
-    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = (sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-             / sum((x - mean_x) ** 2 for x in xs))
+    slope = _slope_per_octave(law_runs)
+    assert slope <= MAX_SLOPE_PER_OCTAVE, slope
+
+
+def test_zmod_multiplications_stay_within_a_constant_times_sqrt_n(
+        zmod_law_runs):
+    worst = _worst_mults_per_sqrt_n(zmod_law_runs)
+    assert worst <= MAX_MULTS_PER_SQRT_N, worst
+
+
+def test_zmod_table_peak_stays_within_twice_sqrt_n(zmod_law_runs):
+    assert not _peaks_over_twice_sqrt_n(zmod_law_runs)
+
+
+def test_zmod_no_log_factor_in_multiplications_per_sqrt_n(zmod_law_runs):
+    slope = _slope_per_octave(zmod_law_runs)
     assert slope <= MAX_SLOPE_PER_OCTAVE, slope

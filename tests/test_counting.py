@@ -6,18 +6,23 @@ fixed-base ladder `Powers`, and the three collision walks `table_walk`,
 oracle's giant steps.  Each adds its multiplications to `ctx.mult_count`
 once per exit.  The walks come from one template: zmod and monogenic
 write their product into it and call no `_product`, the other families
-call `_product` once per step.
+bind the walk's fixed step once per call through `_right` and make no
+`_product` call per step either.
 
 So each route runs twice, on two fresh contexts of one instance: one with
-the family's own walks, one forced onto the generic walks.  Both shadow
-`ctx._product` with an instance attribute that counts its own calls and
-run the route to its end (a normal return or a documented raise).  The
-results and the counters must agree, and the generic counter must equal
-its raw calls; a family without a product step of its own must match its
-raw calls too.  A guard test checks that the zmod and monogenic walks,
-powers and ladders make no `_product` call at all, and seeded tests that
-their one-step powers match square and multiply and their one-step
-ladders the ladder of stored squares.
+the family's own walks, one forced onto the generic walks, which call
+`_product` once per product.  Both shadow `ctx._product` with an instance
+attribute that counts its own calls and run the route to its end (a
+normal return or a documented raise).  The results and the counters must
+agree, the generic counter must equal its raw calls, and the family's own
+raw calls must not exceed its counter, and equal it for a family on the
+generic path (boolmat).  A guard test checks that the zmod
+and monogenic walks, powers and ladders make no `_product` call at all,
+another that matmod's and transformation's walks bind their step once
+and make none either, and seeded tests that the one-step powers match
+square and multiply, the one-step ladders the ladder of stored squares,
+and the costly families' powers and ladders square and multiply over
+`_product`.
 """
 
 import random
@@ -26,7 +31,9 @@ import pytest
 
 from semidlog import (
     CYCLE_ALGORITHMS,
+    BoolMatContext,
     DomainError,
+    MatModContext,
     MonogenicContext,
     NoSolutionError,
     OracleFailureError,
@@ -50,7 +57,7 @@ from semidlog import (
     semigroup_dlog,
 )
 from semidlog.core import Powers, probe_walk, table_walk, table_walk_all
-from semidlog.selftest import _canon
+from semidlog.selftest import _canon, generic_walks
 
 # one base per family, plus an element of the same instance that is not a
 # power of it; every order is above 6 (see the oracle route) and every
@@ -214,24 +221,20 @@ ROUTES = {
 }
 
 
-def _count_raw_products(ctx) -> list:
-    """Shadow ctx._product with a wrapper counting its calls in [0]."""
-    raw = ctx._product
+def _count_calls(ctx, name: str) -> list:
+    """Shadow the method `name` of ctx (`_product`, `_right`) with a
+    wrapper counting its calls in [0]."""
+    method = getattr(ctx, name)
     calls = [0]
 
-    def counted(a, b):
+    def counted(*args):
         calls[0] += 1
-        return raw(a, b)
+        return method(*args)
 
-    ctx._product = counted
+    setattr(ctx, name, counted)
     return calls
 
 
-def _generic(ctx):
-    """`ctx`, forced onto the generic walks: one `_product` call per
-    step."""
-    ctx._walk_step = SemigroupContext._walk_step
-    return ctx
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -243,9 +246,9 @@ def test_counter_equals_raw_products(family, route):
     for generic in (False, True):
         ctx, x = parse_element_spec(x_spec)
         if generic:
-            _generic(ctx)
+            generic_walks(ctx)
         cyc = brute_force_cycle(ctx, x)
-        calls = _count_raw_products(ctx)
+        calls = _count_calls(ctx, "_product")
         ctx.mult_count = 0
         result = ROUTES[route](ctx, x, cyc, other)
         runs.append((result, ctx.mult_count, calls[0]))
@@ -254,8 +257,12 @@ def test_counter_equals_raw_products(family, route):
     assert generic_count == calls
     assert own == generic
     assert own_count == generic_count
-    if type(ctx)._walk_step == SemigroupContext._walk_step:
+    if (type(ctx)._walk_step == SemigroupContext._walk_step
+            and type(ctx)._right is SemigroupContext._right):
         assert own_calls == own_count  # the family's walks are generic
+    # a family's own step or bound right factor replaces `_product` calls
+    # and never adds one
+    assert own_calls <= own_count
 
 
 # x = 1 in MonogenicContext(3, 4): x^k is the integer k up to the order 6,
@@ -274,8 +281,8 @@ def test_table_walk_counter_equals_raw_products(case):
     for generic in (False, True):
         ctx = MonogenicContext(3, 4)
         if generic:
-            _generic(ctx)
-        calls = _count_raw_products(ctx)
+            generic_walks(ctx)
+        calls = _count_calls(ctx, "_product")
         table, last, got = table_walk(ctx, start, step, n)
         assert got == repeat
         assert ctx.mult_count == products
@@ -299,8 +306,8 @@ def test_probe_walk_counter_equals_raw_products(case):
     for generic in (False, True):
         ctx = MonogenicContext(3, 4)
         if generic:
-            _generic(ctx)
-        calls = _count_raw_products(ctx)
+            generic_walks(ctx)
+        calls = _count_calls(ctx, "_product")
         assert probe_walk(ctx, {4: 0, 5: 1}, cur, step, n) == hit
         assert ctx.mult_count == products
         assert calls[0] == (products if generic else 0)
@@ -323,8 +330,8 @@ def test_table_walk_all_keeps_every_index():
     for generic in (False, True):
         ctx = MonogenicContext(3, 4)
         if generic:
-            _generic(ctx)
-        calls = _count_raw_products(ctx)
+            generic_walks(ctx)
+        calls = _count_calls(ctx, "_product")
         table = table_walk_all(ctx, 1, 1, 12)
         assert table == {1: [0], 2: [1], 3: [2, 6, 10], 4: [3, 7, 11],
                          5: [4, 8, 12], 6: [5, 9]}
@@ -356,10 +363,36 @@ def test_zmod_and_monogenic_walks_call_no_product(family, walk):
     step, and fail here."""
     make, start, step = OWN_STEP_FAMILIES[family]
     ctx = make()
-    calls = _count_raw_products(ctx)
+    calls = _count_calls(ctx, "_product")
     GUARDED_WALKS[walk](ctx, start, step)
     assert ctx.mult_count > 0
     assert calls[0] == 0
+
+
+# steps of order 60 (cycles of 3, 4 and 5 points) and 101, so that walks
+# of 20 steps meet no repeat
+BOUND_FAMILIES = {
+    "transformation": (lambda: TransformationContext(12), tuple(range(12)),
+                       (1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7)),
+    "matmod": (lambda: MatModContext(3, 101),
+               ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+               ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("walk", ["table_walk", "probe_walk",
+                                  "table_walk_all"])
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+def test_bound_walks_bind_once_and_call_no_product(family, walk):
+    """The families with a bound right factor bind the walk's step once
+    per call and make no `_product` call per step; a refactor back to
+    one `_product` call, or one binding, per step would fail here."""
+    make, start, step = BOUND_FAMILIES[family]
+    ctx = make()
+    calls, binds = _count_calls(ctx, "_product"), _count_calls(ctx, "_right")
+    GUARDED_WALKS[walk](ctx, start, step)
+    assert ctx.mult_count == (19 if walk == "probe_walk" else 20)
+    assert (calls[0], binds[0]) == (0, 1)
 
 
 @pytest.mark.parametrize("s, length", [(1, 1), (1, 2), (1, 9), (2, 1),
@@ -420,9 +453,9 @@ def test_one_step_power_matches_square_and_multiply(seed):
     rng = random.Random(seed)
     for make, x in _power_bases(rng):
         for e in _power_exponents(rng):
-            own, generic = make(), _generic(make())
-            own_calls = _count_raw_products(own)
-            calls = _count_raw_products(generic)
+            own, generic = make(), generic_walks(make())
+            own_calls = _count_calls(own, "_product")
+            calls = _count_calls(generic, "_product")
             assert power(own, x, e) == power(generic, x, e), (own, x, e)
             assert own.mult_count == generic.mult_count == calls[0] \
                 == e.bit_length() + e.bit_count() - 2
@@ -456,12 +489,70 @@ def test_one_step_ladder_matches_the_squares_ladder(seed):
     `_product` once per counted multiplication."""
     rng = random.Random(seed)
     for make, x in _power_bases(rng):
-        own, generic = make(), _generic(make())
-        own_calls = _count_raw_products(own)
-        calls = _count_raw_products(generic)
+        own, generic = make(), generic_walks(make())
+        own_calls = _count_calls(own, "_product")
+        calls = _count_calls(generic, "_product")
         own_ladder, generic_ladder = Powers(own, x), Powers(generic, x)
         for e in _ladder_exponents(rng):
             assert own_ladder(e) == generic_ladder(e), (own, x, e)
             assert own.mult_count == generic.mult_count == calls[0]
         assert own_calls[0] == 0
         assert len(own_ladder.squares) == 1  # no squares stored
+
+
+def _bound_bases(rng):
+    """Seeded (context factory, base) pairs of the costly families:
+    transformations of degree 1, 2, 64 and 255 and matmod, which bind
+    their right factor, and boolmat, which multiplies through the default
+    `_right`."""
+    makers = [*(lambda d=d: TransformationContext(d) for d in (1, 2, 64, 255)),
+              lambda: MatModContext(1, 27), lambda: MatModContext(3, 19),
+              lambda: BoolMatContext(1), lambda: BoolMatContext(5),
+              lambda: BoolMatContext(12)]
+    return [(make, make().draw(rng)) for make in makers]
+
+
+def _square_and_multiply(ctx, x, e):
+    """x^e by plain right-to-left square and multiply over `_product`,
+    and the products it made."""
+    result, made = None, 0
+    while True:
+        if e & 1:
+            if result is None:
+                result = x
+            else:
+                result, made = ctx._product(result, x), made + 1
+        e >>= 1
+        if not e:
+            return result, made
+        x, made = ctx._product(x, x), made + 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_powers_match_square_and_multiply(seed):
+    """matmod's, boolmat's and transformation's `power`, which multiplies
+    by its base through `_right`, and their set-bit `Powers` ladders,
+    which multiply by each stored square through it, give plain
+    square and multiply's value; `power` its count, and the ladder, after
+    every call, the count of the generic ladder, which calls `_product`
+    once per counted multiplication.  The ladder binds each stored square
+    at most once."""
+    rng = random.Random(seed)
+    for make, x in _bound_bases(rng):
+        own, generic = make(), generic_walks(make())
+        calls = _count_calls(generic, "_product")
+        own_ladder, generic_ladder = Powers(own, x), Powers(generic, x)
+        ladder_binds = 0
+        for e in _ladder_exponents(rng):
+            value, made = _square_and_multiply(own, x, e)
+            before = own.mult_count
+            assert power(own, x, e) == value, (own, x, e)
+            assert own.mult_count - before == made
+            own.mult_count = before
+            binds = _count_calls(own, "_right")
+            assert own_ladder(e) == generic_ladder(e) == value, (own, x, e)
+            assert own.mult_count == generic.mult_count == calls[0]
+            del own._right
+            ladder_binds += binds[0]
+        assert ladder_binds == len(own_ladder.rights)
+        assert len(own_ladder.rights) < len(own_ladder.squares)

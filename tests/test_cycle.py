@@ -23,7 +23,7 @@ from semidlog import (
     monico_strip,
     power,
 )
-from semidlog.core import Powers
+from semidlog.core import Powers, table_walk_all
 from semidlog.numtheory import ceil_sqrt
 from semidlog.selftest import _canon
 
@@ -381,6 +381,25 @@ def test_monico_table_peak_counts_stored_entries():
     _, trace = monico_cycle_length(MonogenicContext(300, 6), 1)
     assert trace.attempts == [1, 4, 16, 64] and trace.duplicate_pair == (3, 6)
     assert trace.table_peak == ceil_sqrt(64) + 1 == 9
+
+
+def test_banin_table_peak_is_the_largest_oracle_table(monkeypatch):
+    """The largest baby table any oracle query stored, over the failed
+    attempts and the final one, counted in indices; not a JSON key."""
+    stored = []
+
+    def recorded(ctx, target, h, q):
+        table = table_walk_all(ctx, target, h, q)
+        stored.append(sum(map(len, table.values())))
+        return table
+
+    monkeypatch.setattr(semidlog.cycle, "table_walk_all", recorded)
+    _, trace = banin_tsaban_cycle_length(MonogenicContext(37, 360), 1,
+                                         seed=0)
+    assert trace.failed_bounds == [16, 64, 256, 1024]
+    assert trace.bound == 4096
+    assert trace.table_peak == max(stored) == ceil_sqrt(4096) + 1 == 65
+    assert "table_peak" not in trace.to_json()
 
 
 def test_monico_exact_for_small_prime_lengths():

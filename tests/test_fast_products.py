@@ -142,14 +142,43 @@ class _Int(int):
     pass
 
 
-@pytest.mark.parametrize("degree", [1, 2, 5])
+class _Tuple(tuple):
+    pass
+
+
+class _Index:
+    """Not an int, but bytes() takes it as one."""
+
+    def __index__(self):
+        return 0
+
+
+class _IntLike(_Index):
+    """Not an int, but it also equals and hashes as 0."""
+
+    def __eq__(self, other):
+        return other == 0
+
+    def __hash__(self):
+        return 0
+
+
+class _BadIndex:
+    def __index__(self):
+        raise ZeroDivisionError
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 64, 255])
 def test_transformation_validate_matches_reference(degree):
     ok = tuple(range(degree))
     candidates = [
         ok, ok[::-1], (0,) * degree, (degree - 1,) * degree,
         list(ok), ok[:-1], ok + (0,), (),
         (degree,) + ok[1:], (-1,) + ok[1:], (1 << 70,) + ok[1:],
+        (255,) + ok[1:], (256,) + ok[1:],
         (True,) + ok[1:], (False,) + ok[1:], (_Int(0),) + ok[1:],
+        (_Int(degree),) + ok[1:], _Tuple(ok), _Tuple((degree,) + ok[1:]),
+        (_Index(),) + ok[1:], (_IntLike(),) + ok[1:], (_BadIndex(),) + ok[1:],
         (0.0,) + ok[1:], ("0",) + ok[1:], (None,) + ok[1:],
         bytes(ok), "0" * degree, None, 0,
     ]

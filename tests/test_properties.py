@@ -4,12 +4,12 @@ Five properties, each checked on small drawn instances of every family:
 every cycle algorithm agrees with brute force, both dlog solvers recover
 the solution set of a drawn exponent, the fixed-base ladder agrees with
 `power` at the cost of its new squares, keys are injective, and element
-specs round-trip through emit and parse.  A sixth checks, on zmod and
-monogenic, that the collision walks with the family's own product step
-agree with the generic walks.  Two more feed JSON-like junk to
-`parse_element_spec` and `make_context` and check that only typed
-`SemigroupError`s escape.  Runs are derandomized, so a failure reproduces
-on every run.
+specs round-trip through emit and parse.  A sixth checks that the
+collision walks, powers and ladders with a family's own product step or
+bound right factor agree with the generic ones.  Two more feed JSON-like
+junk to `parse_element_spec` and `make_context` and check that only
+typed `SemigroupError`s escape.  Runs are derandomized, so a failure
+reproduces on every run.
 """
 
 import json
@@ -35,7 +35,7 @@ from semidlog import (  # noqa: E402
 )
 from semidlog.core import Powers  # noqa: E402
 from semidlog.instances import FAMILIES  # noqa: E402
-from semidlog.selftest import walk_results  # noqa: E402
+from semidlog.selftest import generic_walks, walk_results  # noqa: E402
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True,
                     database=None)
@@ -167,23 +167,41 @@ def _walk_case(family):
         st.lists(_element(family, params), max_size=8)))
 
 
+def _map(degree, a, b):
+    """The transformation i -> (a*i + b) mod degree, a fixed example."""
+    return tuple((a * i + b) % degree for i in range(degree))
+
+
+# boolmat multiplies through the default `_right`, which is the generic
+# path itself
 @PROPERTY
-@given(case=_walk_case("zmod") | _walk_case("monogenic"))
+@given(case=st.one_of(*(_walk_case(family) for family in FAMILIES
+                        if family != "boolmat")))
 @example(case=("zmod", {"modulus": 10}, 3, 7, 0, []))  # n = 0
 @example(case=("monogenic", {"s": 3, "L": 4}, 6, 6, 0, [6]))  # n = 0
 @example(case=("zmod", {"modulus": 12}, 4, 1, 5, [4]))  # repeat at step 1
 @example(case=("monogenic", {"s": 3, "L": 4}, 6, 4, 5, [2]))  # repeat at 1
 @example(case=("monogenic", {"s": 2, "L": 5}, 4, 3, 20, [3, 6]))  # wraps
 @example(case=("monogenic", {"s": 1, "L": 200}, 150, 199, 60, [1]))
+@example(case=("transformation", {"degree": 1}, (0,), (0,), 3, [(0,)]))
+@example(case=("transformation", {"degree": 2}, (1, 0), (0, 0), 5, []))
+@example(case=("transformation", {"degree": 64}, _map(64, 5, 1),
+               _map(64, 3, 7), 40, [_map(64, 1, 2), _map(64, 25, 21)]))
+@example(case=("transformation", {"degree": 255}, _map(255, 2, 3),
+               _map(255, 4, 1), 60, [_map(255, 16, 5)]))
+@example(case=("matmod", {"dim": 3, "modulus": 7},
+               ((1, 2, 3), (0, 4, 5), (6, 0, 1)),
+               ((2, 0, 1), (1, 1, 0), (0, 3, 2)), 30, []))
 def test_own_walks_match_generic_walks(case):
-    """The walks with zmod's and monogenic's own product step return the
-    generic walks' tables, last values, repeats and hits, and add the same
-    counts."""
+    """The walks, powers and ladders with a family's own product step
+    (zmod, monogenic) or its own bound right factor (matmod,
+    transformation) return the generic ones' tables, last values,
+    repeats, hits and powers, and add the same counts."""
     family, params, start, step, n, probe_keys = case
     own = make_context(family, params)
-    generic = make_context(family, params)
-    generic._walk_step = SemigroupContext._walk_step
-    assert type(own)._walk_step != generic._walk_step
+    generic = generic_walks(make_context(family, params))
+    assert (type(own)._walk_step != SemigroupContext._walk_step
+            or type(own)._right is not SemigroupContext._right)
     assert (walk_results(own, start, step, n, probe_keys)
             == walk_results(generic, start, step, n, probe_keys))
 
