@@ -16,8 +16,15 @@ encodings, output); no algorithm needs it.  Besides `power`, the module
 holds `Powers`, the fixed-base ladder for many powers of one base, and
 the collision-table primitive: `table_walk`, `probe_walk` and
 `table_walk_all`.  `power` and the three walks are written once as a
-template that each family instantiates with its own product step and
-power (see SemigroupContext).
+template, instantiated once per (BIND, STEP, POWER) triple of a product
+step and power and looked up by the context's `_walk_step` on every call
+(see SemigroupContext).
+
+The public functions check their context argument with `check_context`
+and their integer arguments with `check_int`.  Both run on every call,
+so both decide the common case at C level: a context's class is looked
+up in the registry `SemigroupContext.__init_subclass__` fills, and an
+exact `int` skips the bool and subclass tests.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
-from functools import cache
 from types import SimpleNamespace
 
 
@@ -56,24 +62,39 @@ def check_int(value, name: str, least: int | None = None) -> int:
     is given, at least `least`; else DomainError.
 
     The one type and range check on the public functions' integer
-    arguments.
+    arguments; an exact int passes the type test at its first step.
     """
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, int)
+                                   or isinstance(value, bool)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
     return value
 
 
-# The default POWER fragment: cur = x^e by left-to-right square and
-# multiply, squaring with `prod` and multiplying by x with `times`, both
-# bound by the default BIND
-_SQUARE_AND_MULTIPLY = """\
-cur = x
-for bit in bin(e)[3:]:
-    cur = prod(cur, cur)
-    if bit == "1":
-        cur = times(cur)"""
+def _square_and_multiply(times_x: str) -> str:
+    """A POWER fragment: cur = x^e by left-to-right square and multiply,
+    squaring with `prod` and multiplying by x with the expression
+    `times_x`."""
+    return ("cur = x\n"
+            "for bit in bin(e)[3:]:\n"
+            "    cur = prod(cur, cur)\n"
+            "    if bit == \"1\":\n"
+            f"        cur = {times_x}")
+
+
+# The two (BIND, STEP, POWER) triples of the families without a product
+# step of their own: one `_product` call per product, or, for a family
+# that overrides `_right`, the walk's fixed step bound once per call
+_DIRECT_STEP = ("prod = ctx._product", "cur = prod(cur, step)",
+                _square_and_multiply("prod(cur, x)"))
+_BOUND_STEP = ("prod = ctx._product\ntimes = ctx._right(step)",
+               "cur = times(cur)", _square_and_multiply("times(cur)"))
+# their POWER fragments, which Powers replaces by its squares ladder
+_LADDER_POWERS = (_DIRECT_STEP[2], _BOUND_STEP[2])
+# every subclass of SemigroupContext, added as its class is created: the
+# C-level test in check_context
+_CONTEXT_CLASSES = set()
 
 
 class SemigroupContext(ABC):
@@ -100,26 +121,33 @@ class SemigroupContext(ABC):
     outside the bulk counters.
 
     `power` and the walks come from one template (`_WALK_TEMPLATE`),
-    instantiated per family from `_walk_step` on first use.  The default
-    step binds the walk's fixed step b once per call with `_right(b)`, a
-    callable a -> a*b, and applies it once per step; the default power
-    squares with `_product` and multiplies by its base through `_right`,
-    and the squares ladder binds each stored square it multiplies by once.
-    The default `_right` wraps `_product`; matmod and transformation
-    override it to do the work that depends on b alone once per binding.
-    A family whose product is a line or two of arithmetic (zmod,
-    monogenic) writes it into the walks instead, and takes x^e in one step
-    of the same arithmetic, so its walks, powers and ladders call no
-    `_product`.  A family that overrides `_walk_step` or
-    `_right` must step exactly as its `_product` multiplies and return the
-    power that square and multiply over its `_product` would.
+    instantiated once per distinct `_walk_step` triple and looked up by it
+    on every call, so a triple set on one instance takes effect there.
+    The default step calls `_product` once per product (boolmat).  A
+    family that overrides `_right(b)`, a callable a -> a*b that does the
+    work depending on b alone once per binding (matmod, transformation),
+    walks by `_BOUND_STEP` instead, set when its class is created: each
+    walk binds its fixed step once per call, power binds its base, and
+    the squares ladder each stored square it multiplies by.  A family
+    whose product is a line or two of arithmetic (zmod, monogenic) writes
+    it into the walks instead, and takes x^e in one step of the same
+    arithmetic, so its walks, powers and ladders call no `_product`.  A
+    family that overrides `_walk_step` or `_right` must step exactly as
+    its `_product` multiplies and return the power that square and
+    multiply over its `_product` would.
     """
 
     family: str = "abstract"
     # (BIND, STEP, POWER) source fragments of the walks' product step and
     # of power's x^e
-    _walk_step = ("prod = ctx._product\ntimes = ctx._right(step)",
-                  "cur = times(cur)", _SQUARE_AND_MULTIPLY)
+    _walk_step = _DIRECT_STEP
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _CONTEXT_CLASSES.add(cls)
+        if (cls._walk_step == _DIRECT_STEP
+                and cls._right is not SemigroupContext._right):
+            cls._walk_step = _BOUND_STEP
 
     def __init__(self) -> None:
         self.mult_count = 0
@@ -150,7 +178,8 @@ class SemigroupContext(ABC):
 
     def _right(self, b):
         """The product by the fixed right factor b, a -> a*b, uncounted,
-        for many products by one b.  The default wraps `_product`."""
+        for many products by one b.  The default wraps `_product`; the
+        walks use it only for a family that overrides it."""
         product = self._product
         return lambda a: product(a, b)
 
@@ -168,10 +197,13 @@ class SemigroupContext(ABC):
 
 def check_context(ctx) -> SemigroupContext:
     """`ctx` if it is a SemigroupContext, else DomainError: the type
-    check on the public functions' context argument."""
-    if not isinstance(ctx, SemigroupContext):
-        raise DomainError(f"ctx must be a SemigroupContext, got {ctx!r}")
-    return ctx
+    check on the public functions' context argument.  A context's class
+    is found in the registry `__init_subclass__` fills; the ABC's own test
+    runs only for anything else (a class registered as a virtual
+    subclass, or no context at all)."""
+    if type(ctx) in _CONTEXT_CLASSES or isinstance(ctx, SemigroupContext):
+        return ctx
+    raise DomainError(f"ctx must be a SemigroupContext, got {ctx!r}")
 
 
 def multiply(ctx: SemigroupContext, a, b):
@@ -195,7 +227,7 @@ def power(ctx: SemigroupContext, x, e: int):
     """
     check_context(ctx)
     check_int(e, "exponent", 1)  # no x^0: a semigroup has no identity
-    result = _walks(ctx._walk_step).power(ctx, x, e)
+    result = _WALKS[ctx._walk_step].power(ctx, x, e)
     ctx.mult_count += e.bit_length() + e.bit_count() - 2
     return result
 
@@ -214,8 +246,9 @@ class Powers:
     stores no squares.  It counts what the squares would: popcount(e) - 1,
     plus bit_length(e) - top when that is positive, where `top` is the
     largest bit length reached so far in this ladder.  Other families keep
-    the list of squares; x^e visits only the set bits of e and multiplies
-    by each square through `ctx._right`, bound once per square, on its
+    the list of squares, and x^e visits only the set bits of e.  It
+    multiplies by each square with one `_product` call, or, for a family
+    on `_BOUND_STEP`, through `ctx._right`, bound once per square on its
     first use as a factor.  The path is taken from `ctx._walk_step` when
     the ladder is built.  Build one inside a call and drop it at the end;
     the squares are never shared between calls.
@@ -226,11 +259,12 @@ class Powers:
     def __init__(self, ctx: SemigroupContext, x) -> None:
         self.ctx = ctx
         self.squares = [x]
-        self.rights = {}  # i -> the bound product by squares[i]
-        self.top = 1  # x = x^(2^0) is the first square
         walk_step = ctx._walk_step
-        self.one_step = (None if walk_step[2] == _SQUARE_AND_MULTIPLY
-                         else _walks(walk_step).power)
+        # i -> the bound product by squares[i], on _BOUND_STEP only
+        self.rights = {} if walk_step == _BOUND_STEP else None
+        self.top = 1  # x = x^(2^0) is the first square
+        self.one_step = (None if walk_step[2] in _LADDER_POWERS
+                         else _WALKS[walk_step].power)
 
     def __call__(self, e: int):
         check_int(e, "exponent", 1)
@@ -256,10 +290,13 @@ class Powers:
             low = e & -e
             e ^= low
             i = low.bit_length() - 1
-            times = rights.get(i)
-            if times is None:
-                times = rights[i] = ctx._right(squares[i])
-            result = times(result)
+            if rights is None:
+                result = prod(result, squares[i])
+            else:
+                times = rights.get(i)
+                if times is None:
+                    times = rights[i] = ctx._right(squares[i])
+                result = times(result)
             made += 1
         ctx.mult_count += made
         return result
@@ -271,7 +308,7 @@ class Powers:
 # the fixed factor `step`, STEP, the statements that set `cur` to
 # cur*step, and POWER, the statements that set `cur` to x^e and leave e
 # as it was.  The template is instantiated once per distinct triple, on
-# first use, and shared by every context of the family.
+# first use, and shared by every context with that triple.
 _WALK_TEMPLATE = """\
 def power(ctx, x, e):
     step = x  # power's fixed right factor is its base
@@ -319,28 +356,35 @@ def table_walk_all(ctx, start, step, n):
 """
 
 
-@cache
-def _walks(walk_step: tuple) -> SimpleNamespace:
-    """The uncounted power and the three walks of _WALK_TEMPLATE for one
-    (BIND, STEP, POWER) triple.
+class _Walks(dict):
+    """(BIND, STEP, POWER) triple -> the uncounted power and the three
+    walks of _WALK_TEMPLATE for it, instantiated on the triple's first
+    lookup.
 
     Each placeholder line is replaced by the fragment's lines at that
     line's indentation.  The source is built from the families' own class
     attributes only, never from input.
     """
-    fragments = dict(zip(("BIND", "STEP", "POWER"), walk_step))
 
-    def fill(match):
-        indent = match.group(1)
-        return "\n".join(indent + line
-                         for line in fragments[match.group(2)].splitlines())
+    def __missing__(self, walk_step: tuple) -> SimpleNamespace:
+        fragments = dict(zip(("BIND", "STEP", "POWER"), walk_step))
 
-    source = re.sub(r"^( *)(BIND|STEP|POWER)$", fill, _WALK_TEMPLATE,
-                    flags=re.M)
-    namespace = {}
-    exec(compile(source, "<semidlog walks>", "exec"), namespace)
-    return SimpleNamespace(**{name: namespace[name] for name in (
-        "power", "table_walk", "probe_walk", "table_walk_all")})
+        def fill(match):
+            indent = match.group(1)
+            return "\n".join(indent + line for line in
+                             fragments[match.group(2)].splitlines())
+
+        source = re.sub(r"^( *)(BIND|STEP|POWER)$", fill, _WALK_TEMPLATE,
+                        flags=re.M)
+        namespace = {}
+        exec(compile(source, "<semidlog walks>", "exec"), namespace)
+        walks = self[walk_step] = SimpleNamespace(**{
+            name: namespace[name] for name in (
+                "power", "table_walk", "probe_walk", "table_walk_all")})
+        return walks
+
+
+_WALKS = _Walks()
 
 
 def table_walk(ctx: SemigroupContext, start, step, n: int):
@@ -350,7 +394,7 @@ def table_walk(ctx: SemigroupContext, start, step, n: int):
     the table keeps first indices.  Adds the products made, k2 or n, to
     the counter once, at the exit.
     """
-    return _walks(ctx._walk_step).table_walk(ctx, start, step, n)
+    return _WALKS[ctx._walk_step].table_walk(ctx, start, step, n)
 
 
 def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
@@ -359,7 +403,7 @@ def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):
     counter once, at the exit.  DomainError unless n is an integer >= 1.
     """
     check_int(n, "n", 1)
-    return _walks(ctx._walk_step).probe_walk(ctx, table, cur, step, n)
+    return _WALKS[ctx._walk_step].probe_walk(ctx, table, cur, step, n)
 
 
 def table_walk_all(ctx: SemigroupContext, start, step, n: int) -> dict:
@@ -367,7 +411,7 @@ def table_walk_all(ctx: SemigroupContext, start, step, n: int) -> dict:
     indices ascending, with no stop at a repeat.  Adds the n products to
     the counter once, at the exit.
     """
-    return _walks(ctx._walk_step).table_walk_all(ctx, start, step, n)
+    return _WALKS[ctx._walk_step].table_walk_all(ctx, start, step, n)
 
 
 def canonical_key(ctx: SemigroupContext, a) -> bytes:

@@ -101,7 +101,7 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
                 "doubling cap exceeded; element may not be torsion")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Alg4Round(Trace):
     """One round of the deterministic algorithm, at one bound.  When the
     baby walk repeats, at step `baby_hit` after step k1 (0 for a return to
@@ -431,7 +431,10 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
         if i > len(giants):
             giants.append(prod(giants[-1], giants[0]))
             made += 1
-        for j in reversed(table.get(giants[i - 1], ())):
+        js = table.get(giants[i - 1])
+        if js is None:
+            continue
+        for j in reversed(js):
             cand = i * q - j
             if cand < 1:
                 continue

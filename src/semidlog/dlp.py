@@ -43,7 +43,7 @@ from .numtheory import crt_combine, factor_integer  # noqa: F401  (re-export)
 from .numtheory import ceil_sqrt, first_true
 
 
-@dataclass(frozen=True)
+@dataclass
 class GroupView:
     """The cyclic group hiding inside the power sequence of x.
 
@@ -144,7 +144,7 @@ def bsgs_group_dlog(ctx: SemigroupContext, gv: GroupView, generator, target,
     return (hit[0] * b - hit[1]) % order
 
 
-@dataclass(frozen=True)
+@dataclass
 class DlogSolution:
     """Complete solution set of x^m = y.
 

@@ -67,7 +67,8 @@ def _pack_bits(bits) -> int:
 
 def _is_int(val) -> bool:
     """A JSON integer: bool is an int subclass, but true is not 1 here."""
-    return isinstance(val, int) and not isinstance(val, bool)
+    return type(val) is int or (isinstance(val, int)
+                                and not isinstance(val, bool))
 
 
 def _int_param(value, name: str, least: int | None = None):
@@ -288,11 +289,11 @@ class BoolMatContext(SemigroupContext):
     (d-1-i)*d + d-1-j.  Nested 0/1 rows become an element through
     `from_spec`, and `element_json` turns it back.  The constructor keeps
     d masks of d^2 bits, so d is capped at `max_dim` = 256, where they
-    take ~2 MiB and one product ~20 ms.  The walks and ladders multiply by
-    a fixed right factor through the default `_right`, which wraps
-    `_product`: a bound form that copies b's rows into every row once
-    was not measurably faster, as most bound factors of the cycle
-    algorithms are used once or twice.
+    take ~2 MiB and one product ~20 ms.  It keeps the default `_right`,
+    so its walks, powers and ladders call `_product` once per product: a
+    bound form that copies b's rows into every row once was not
+    measurably faster, as most bound factors of the cycle algorithms are
+    used once or twice.
     """
 
     family = "boolmat"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass
-from types import MethodType
 
 from .core import (
     Powers,
@@ -186,7 +185,6 @@ def generic_walks(ctx):
     step (zmod, monogenic) and its own bound right factor (matmod,
     transformation)."""
     ctx._walk_step = SemigroupContext._walk_step
-    ctx._right = MethodType(SemigroupContext._right, ctx)
     return ctx
 
 

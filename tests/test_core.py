@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -13,10 +15,14 @@ from semidlog import (
     ZModContext,
     brute_force_cycle,
     canonical_key,
+    deterministic_cycle_length,
+    make_group_view,
     multiply,
     power,
+    solution_set,
 )
 from semidlog.core import Powers
+from semidlog.cycle import Alg4Round
 
 
 def naive_power(ctx, x, e):
@@ -205,3 +211,67 @@ def test_cycle_structure_errors_are_domain_errors():
             CycleStructure(*args)
         assert isinstance(err.value, SemigroupError)
         assert isinstance(err.value, ValueError)
+
+
+# the plain records a solve or a round makes: field order, equality, repr
+# and JSON are part of their contract, whatever the dataclass options
+RECORD_GOLDENS = {
+    "GroupView": (
+        lambda: make_group_view(ZModContext(100), 2, CycleStructure(2, 20)),
+        {"base": 2, "cycle": CycleStructure(2, 20, 21), "t": 1,
+         "generator": 52, "identity": 76, "cycle_power": 76},
+        "GroupView(base=2, cycle=CycleStructure(cycle_start=2, "
+        "cycle_length=20, order=21), t=1, generator=52, identity=76, "
+        "cycle_power=76)"),
+    "DlogSolution-progression": (
+        lambda: solution_set(25, CycleStructure(2, 20)),
+        {"kind": "progression", "m0": 5, "period": 20},
+        "DlogSolution(kind='progression', m0=5, period=20)"),
+    "DlogSolution-unique": (
+        lambda: solution_set(1, CycleStructure(2, 20)),
+        {"kind": "unique", "m0": 1, "period": None},
+        "DlogSolution(kind='unique', m0=1, period=None)"),
+    "Alg4Round-giant": (
+        lambda: deterministic_cycle_length(MonogenicContext(2, 3), 1)[1]
+        .rounds[-1],
+        {"bound": 4, "stride": 2, "baby_hit": None, "giant_hit": (2, 1),
+         "candidate": 3, "accepted": True, "table_size": 2},
+        "Alg4Round(bound=4, stride=2, baby_hit=None, giant_hit=(2, 1), "
+        "candidate=3, accepted=True, table_size=2)"),
+    "Alg4Round-baby": (
+        lambda: deterministic_cycle_length(MonogenicContext(1, 2), 1)[1]
+        .rounds[-1],
+        {"bound": 4, "stride": 2, "baby_hit": 2, "giant_hit": None,
+         "candidate": 2, "accepted": True, "table_size": 2},
+        "Alg4Round(bound=4, stride=2, baby_hit=2, giant_hit=None, "
+        "candidate=2, accepted=True, table_size=2)"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_GOLDENS)
+def test_records_keep_fields_equality_and_repr(name):
+    make, golden, text = RECORD_GOLDENS[name]
+    record = make()
+    assert [f.name for f in fields(record)] == list(golden)
+    assert record == type(record)(**golden) == make()
+    assert record != type(record)(**{**golden, list(golden)[0]: -1})
+    assert repr(record) == text
+
+
+def test_record_json_keeps_its_key_order():
+    assert json.dumps(solution_set(25, CycleStructure(2, 20)).to_json()) \
+        == '{"kind": "progression", "m0": 5, "period": 20}'
+    assert json.dumps(solution_set(1, CycleStructure(2, 20)).to_json()) \
+        == '{"kind": "unique", "m": 1}'
+    length, trace = deterministic_cycle_length(MonogenicContext(1, 2), 1)
+    assert json.dumps(trace.to_json()) == (
+        '{"rounds": [{"bound": 1, "stride": 1, "baby_hit": null, '
+        '"giant_hit": null, "candidate": null, "accepted": false, '
+        '"table_size": 1}, {"bound": 4, "stride": 2, "baby_hit": 2, '
+        '"giant_hit": null, "candidate": 2, "accepted": true, '
+        '"table_size": 2}], "multiplications": 5, "cycle_length": 2, '
+        '"table_peak": 2}')
+    assert trace.rounds[0].to_json() == {
+        "bound": 1, "stride": 1, "baby_hit": None, "giant_hit": None,
+        "candidate": None, "accepted": False, "table_size": 1}
+    assert isinstance(trace.rounds[0], Alg4Round)

@@ -5,9 +5,10 @@ fixed-base ladder `Powers`, and the three collision walks `table_walk`,
 `probe_walk` and `table_walk_all` in `core`, plus the Banin-Tsaban
 oracle's giant steps.  Each adds its multiplications to `ctx.mult_count`
 once per exit.  The walks come from one template: zmod and monogenic
-write their product into it and call no `_product`, the other families
-bind the walk's fixed step once per call through `_right` and make no
-`_product` call per step either.
+write their product into it and call no `_product`, matmod and
+transformation bind the walk's fixed step once per call through `_right`
+and make no `_product` call per step either, and boolmat calls `_product`
+once per product.
 
 So each route runs twice, on two fresh contexts of one instance: one with
 the family's own walks, one forced onto the generic walks, which call
@@ -19,7 +20,8 @@ raw calls must not exceed its counter, and equal it for a family on the
 generic path (boolmat).  A guard test checks that the zmod
 and monogenic walks, powers and ladders make no `_product` call at all,
 another that matmod's and transformation's walks bind their step once
-and make none either, and seeded tests that the one-step powers match
+and make none either, one that a `_walk_step` set on an instance takes
+effect at its next walk, and seeded tests that the one-step powers match
 square and multiply, the one-step ladders the ladder of stored squares,
 and the costly families' powers and ladders square and multiply over
 `_product`.
@@ -369,6 +371,38 @@ def test_zmod_and_monogenic_walks_call_no_product(family, walk):
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("walk", ["table_walk", "probe_walk", "power",
+                                  "Powers"])
+def test_walk_step_set_on_an_instance_takes_effect(walk):
+    """The walks look their template up by the context's `_walk_step` on
+    every call, so a triple set on one instance after a first walk is
+    used from the next call on, there and nowhere else: the generic
+    triple sends zmod's walk to `_product`, and a triple never seen
+    before is instantiated on first use.  The forced-generic route above
+    and the `walk-reference` selftest rely on this; a cache per class
+    would fail here."""
+    run = GUARDED_WALKS[walk]
+    ctx, other = ZModContext(1000), ZModContext(1000)
+    calls, other_calls = (_count_calls(ctx, "_product"),
+                          _count_calls(other, "_product"))
+    expected = run(ctx, 2, 3)
+    made = ctx.mult_count
+    assert calls[0] == 0
+    ctx._walk_step = SemigroupContext._walk_step
+    assert run(ctx, 2, 3) == expected
+    assert calls[0] == ctx.mult_count - made > 0
+    # a triple never seen before that counts its runs; its power is no
+    # squares ladder's, so `Powers` runs it too
+    bind, step, pow_ = SemigroupContext._walk_step
+    mark = "\nctx.runs += 1"
+    ctx._walk_step = (bind + mark, step, pow_ + mark)
+    ctx.runs = 0
+    assert run(ctx, 2, 3) == expected
+    assert ctx.runs >= 1
+    assert run(other, 2, 3) == expected
+    assert other_calls[0] == 0
+
+
 # steps of order 60 (cycles of 3, 4 and 5 points) and 101, so that walks
 # of 20 steps meet no repeat
 BOUND_FAMILIES = {
@@ -503,8 +537,8 @@ def test_one_step_ladder_matches_the_squares_ladder(seed):
 def _bound_bases(rng):
     """Seeded (context factory, base) pairs of the costly families:
     transformations of degree 1, 2, 64 and 255 and matmod, which bind
-    their right factor, and boolmat, which multiplies through the default
-    `_right`."""
+    their right factor, and boolmat, which calls `_product` once per
+    product."""
     makers = [*(lambda d=d: TransformationContext(d) for d in (1, 2, 64, 255)),
               lambda: MatModContext(1, 27), lambda: MatModContext(3, 19),
               lambda: BoolMatContext(1), lambda: BoolMatContext(5),
@@ -530,13 +564,12 @@ def _square_and_multiply(ctx, x, e):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bound_powers_match_square_and_multiply(seed):
-    """matmod's, boolmat's and transformation's `power`, which multiplies
-    by its base through `_right`, and their set-bit `Powers` ladders,
-    which multiply by each stored square through it, give plain
-    square and multiply's value; `power` its count, and the ladder, after
-    every call, the count of the generic ladder, which calls `_product`
-    once per counted multiplication.  The ladder binds each stored square
-    at most once."""
+    """matmod's, boolmat's and transformation's `power` and their set-bit
+    `Powers` ladders give plain square and multiply's value; `power` its
+    count, and the ladder, after every call, the count of the generic
+    ladder, which calls `_product` once per counted multiplication.
+    matmod's and transformation's ladders multiply by each stored square
+    through `_right` and bind it at most once; boolmat's binds none."""
     rng = random.Random(seed)
     for make, x in _bound_bases(rng):
         own, generic = make(), generic_walks(make())
@@ -554,5 +587,8 @@ def test_bound_powers_match_square_and_multiply(seed):
             assert own.mult_count == generic.mult_count == calls[0]
             del own._right
             ladder_binds += binds[0]
-        assert ladder_binds == len(own_ladder.rights)
-        assert len(own_ladder.rights) < len(own_ladder.squares)
+        if type(own)._right is SemigroupContext._right:  # boolmat
+            assert own_ladder.rights is None and ladder_binds == 0
+        else:
+            assert ladder_binds == len(own_ladder.rights)
+            assert len(own_ladder.rights) < len(own_ladder.squares)

@@ -59,7 +59,14 @@ from semidlog import (
     solution_set,
 )
 from semidlog.bench import run_sweep
-from semidlog.core import Powers, probe_walk
+from semidlog.core import (
+    Powers,
+    SemigroupContext,
+    check_context,
+    check_int,
+    probe_walk,
+)
+from semidlog.instances import _is_int
 
 
 def _zmod():
@@ -259,3 +266,98 @@ def test_foreign_context_or_view_raises_domain_error(name):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_accept_any_values(name):
     RECORDS[name]()
+
+
+# the type checks run on every public call, so they take fast paths; these
+# are the cases a fast path must still decide as the full test does
+
+
+class _DuckContext:
+    """Has what a walk reads from a context, but is no SemigroupContext."""
+
+    family = "duck"
+    mult_count = 0
+
+    def _product(self, a, b):
+        return a
+
+
+CONTEXTS = {
+    "zmod": lambda: ZModContext(10),
+    "matmod": lambda: MatModContext(2, 5),
+    "boolmat": lambda: BoolMatContext(3),
+    "transformation": lambda: TransformationContext(4),
+    "monogenic": lambda: MonogenicContext(3, 4),
+}
+
+
+@pytest.mark.parametrize("name", CONTEXTS)
+def test_check_context_accepts_every_family(name):
+    ctx = CONTEXTS[name]()
+    assert check_context(ctx) is ctx
+
+
+def test_check_context_accepts_subclasses_defined_later():
+    class Local(SemigroupContext):
+        family = "local"
+
+        def _product(self, a, b):
+            return a
+
+        def key(self, a) -> bytes:
+            return b""
+
+        def validate(self, a):
+            return a
+
+        def describe(self) -> dict:
+            return {"type": "local"}
+
+        def element_json(self, a) -> dict:
+            return {"type": "local"}
+
+    class Residues(ZModContext):
+        pass
+
+    for ctx in (Local(), Residues(10)):
+        assert check_context(ctx) is ctx
+    assert power(Residues(10), 3, 4) == 1
+
+
+@pytest.mark.parametrize("value", [None, 5, _DuckContext()],
+                         ids=["none", "int", "duck-typed"])
+def test_check_context_rejects_what_is_no_context(value):
+    with pytest.raises(DomainError, match="ctx must be a SemigroupContext"):
+        check_context(value)
+
+
+class _Index:
+    """An integer-like object: operator.index takes it, int checks must
+    not."""
+
+    def __index__(self):
+        return 3
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 1.5, _Index()],
+                         ids=["true", "false", "float", "fraction", "index"])
+def test_integer_checks_reject_what_is_no_integer(value):
+    with pytest.raises(DomainError, match="must be an integer"):
+        check_int(value, "n")
+    with pytest.raises(DomainError, match="must be an integer"):
+        check_int(value, "n", 0)
+    assert not _is_int(value)
+
+
+def test_integer_checks_take_int_subclasses_as_integers():
+    value = _Int(7)
+    assert check_int(value, "n") is value
+    assert check_int(value, "n", 7) is value
+    with pytest.raises(DomainError, match="n must be >= 8, got 7"):
+        check_int(value, "n", 8)
+    assert _is_int(value)
+    assert check_int(-3, "n") == -3 and _is_int(-3) and _is_int(0)
