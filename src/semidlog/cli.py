@@ -258,9 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alg", choices=CYCLE_ALGORITHMS,
                        default="deterministic")
         p.add_argument("--bound", type=int, default=None,
-                       help="known upper bound on the order: one round at "
-                            "it, not bounds growing x4 (banin-tsaban: the "
-                            "first bound of its x4 schedule)")
+                       help="known bound: one round at it, not bounds "
+                            "growing x4; deterministic needs it >= the "
+                            "cycle length and its square >= the cycle "
+                            "start, monico needs it >= the order "
+                            "(banin-tsaban: the first bound of its x4 "
+                            "schedule)")
         p.add_argument("--B", dest="divisor_bound", type=int,
                        default=10 ** 4, metavar="N",
                        help="divisor bound for monico stripping")

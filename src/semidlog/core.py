@@ -317,15 +317,17 @@ def power(ctx, x, e):
     return cur
 
 
-def table_walk(ctx, start, step, n):
+def table_walk(ctx, start, step, n, table=None, index=0):
     BIND
-    table = {start: 0}
+    if table is None:
+        table = {}
+    table[start] = index
     cur = start
-    for k in range(1, n + 1):
+    for k in range(index + 1, index + n + 1):
         STEP
         first = table.setdefault(cur, k)
         if first != k:
-            ctx.mult_count += k
+            ctx.mult_count += k - index
             return table, cur, (first, k)
     ctx.mult_count += max(n, 0)
     return table, cur, None
@@ -387,14 +389,20 @@ class _Walks(dict):
 _WALKS = _Walks()
 
 
-def table_walk(ctx: SemigroupContext, start, step, n: int):
-    """Tabulate start*step^k -> k for k = 0..n up to the first repeated
-    value; returns (table, last value, repeat).  `repeat` is (k1, k2) for
-    the least k2 with start*step^k2 = start*step^k1, k1 < k2, else None;
-    the table keeps first indices.  Adds the products made, k2 or n, to
-    the counter once, at the exit.
+def table_walk(ctx: SemigroupContext, start, step, n: int,
+               table: dict | None = None, index: int = 0):
+    """Tabulate start*step^k -> index + k for k = 0..n up to the first
+    repeated value; returns (table, last value, repeat).  `repeat` is
+    (k1, k2) for the least k2 with value(k2) = value(k1), k1 < k2, else
+    None; the table keeps first indices.  Adds the products made,
+    k2 - index or n, to the counter once, at the exit.
+
+    With `table`, the walk continues that table in place: `start`, a value
+    not yet in it, enters at `index`, and a repeat may reach back to any
+    earlier entry.  Without one it starts a new table.
     """
-    return _WALKS[ctx._walk_step].table_walk(ctx, start, step, n)
+    return _WALKS[ctx._walk_step].table_walk(ctx, start, step, n, table,
+                                             index)
 
 
 def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):

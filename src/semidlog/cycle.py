@@ -5,7 +5,9 @@ Four routes to the cycle structure:
   brute_force_cycle           exhaustive power enumeration; the ground
                               truth every other route is tested against
   deterministic_cycle_length  baby-step/giant-step rounds at bounds
-                              growing x4; exact
+                              growing x4 on one baby table per epoch,
+                              anchored at x^(B0^2) and grown in place up
+                              to bound B0^2; exact
   monico_cycle_length         collision search with a prime offset and
                               divisor stripping; may return a proper
                               multiple of the cycle length
@@ -17,6 +19,12 @@ known), least_period (prime-cofactor reduction of a verified multiple of
 the cycle length), group_dlog_oracle (the inverse-free collision oracle
 the Banin-Tsaban route relies on) and find_cycle, the one dispatch from an
 algorithm name in CYCLE_ALGORITHMS to a full cycle structure.
+
+Growing one table carries each failed round's baby walk and giant
+coverage into the next round (the growing baby steps of Terr, Math. Comp.
+69, 2000, and Sutherland's thesis, 2007, here without inverses).  Monico
+keeps a fresh table per round: it is the literature baseline the
+deterministic algorithm is compared against.
 """
 
 from __future__ import annotations
@@ -77,9 +85,11 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
     trace.cycle_length filled in.
 
     The bound grows x4, not x2: a round's cost grows like the square root
-    of its bound, so x4 doubles the cost per round and the failed rounds
-    cost about as much as the accepting one, against 2.4 times as much when
-    doubling.  Without `grow`, a single attempt whose miss raises
+    of its bound, so x4 doubles the cost per round and rounds that start
+    afresh (Monico, Banin-Tsaban) spend about as much on the failed rounds
+    as on the accepting one, against 2.4 times as much when doubling; the
+    deterministic rounds carry their table on instead (_alg4_round).
+    Without `grow`, a single attempt whose miss raises
     SemigroupError with the message `miss`.  Bounds that missed are
     appended to `failed` when it is given; no attempt runs past
     _DOUBLING_CAP.
@@ -103,10 +113,15 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
 
 @dataclass
 class Alg4Round(Trace):
-    """One round of the deterministic algorithm, at one bound.  When the
-    baby walk repeats, at step `baby_hit` after step k1 (0 for a return to
-    x^N, above 0 for a repeat that began before the cycle start),
-    `candidate` = baby_hit - k1 is accepted and `table_size` = baby_hit."""
+    """One round of the deterministic algorithm, at one bound: a stage of
+    the anchored table x^(A+j), j < `table_size`, that the round builds or
+    grows.  When the baby walk repeats, at index `baby_hit` after index
+    k1 (0 for a return to the anchor x^A, above 0 for a repeat that began
+    before the cycle start), `candidate` = baby_hit - k1 is accepted and
+    `table_size` = baby_hit.  A giant hit (i, j) at `stride` q gives
+    `candidate` = i*q - j, and is always accepted: the length returned is
+    the candidate itself when x^A passes the check, else the candidate
+    reduced at x^(A+j)."""
 
     bound: int
     stride: int
@@ -125,61 +140,96 @@ class Alg4Trace(Trace):
     table_peak: int = 0  # the largest round's table_size
 
 
-def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int):
-    """One baby/giant round at the given bound, taking its powers of x
-    from the ladder `powers`.
+class _AnchoredTable:
+    """The baby table of one epoch: x^(A+j) -> j for j < size, anchored at
+    A = B0^2 for the epoch's first bound B0.  It grows in place at each
+    bound up to `limit` = B0^2; `last` is x^(A+size), the next entry."""
 
-    Baby phase: walk x^N, x^(N+1), ..., x^(N+q) with q = ceil(sqrt(N)),
-    stopping at the first repeated value.  The first repeat of consecutive
-    powers spans exactly one cycle, so a repeat x^(N+k1) = x^(N+k2) gives
-    the cycle length k2 - k1.  Without one, the powers x^(N+j) for j < q
-    form the lookup table, keyed by the element.
+    __slots__ = ("limit", "base", "table", "last", "size")
 
-    Giant phase: probe x^(N+iq) for i = 1..q against the table.  A match
-    at minimal i yields candidate iq - j, which is provably the cycle
-    length when N >= max(cycle start, cycle length) but can be a proper
-    multiple when the table straddles the cycle start.  The candidate is
-    therefore accepted only after checking x^N = x^(N + candidate); a
-    failed check means this round's bound was too small and the caller
-    quadruples it.  At N = 4^r, x^N and x^q (q = 2^r) are squares of the
-    ladder, so a round costs two new squarings where a fresh square and
-    multiply would cost 3r.
+    def __init__(self, powers: Powers, bound: int) -> None:
+        self.limit = bound * bound
+        self.base = powers(self.limit)
+        self.table = {}
+        self.last = self.base
+        self.size = 0
+
+
+def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int,
+                anchored: _AnchoredTable):
+    """One baby/giant round at the given bound on the epoch's anchored
+    table, taking its powers of x from the ladder `powers`.
+
+    Baby phase: grow the table x^(A+j) up to j < q = ceil(sqrt(bound)),
+    walking on from x^(A+size) and stopping at the first repeated value.
+    The first repeat of consecutive powers spans exactly one cycle, so a
+    repeat x^(A+k1) = x^(A+k2) gives the cycle length k2 - k1.
+
+    Giant phase: probe x^(A+iq) against the table.  A match (i, j) gives
+    the candidate iq - j, and giant i covers the candidates in
+    ((i-1)q, iq].  The previous stage at stride q/2 covered 1..(q/2)^2, so
+    the probes start at i = q/4 + 1, at x^(A+q) * x^((q/2)^2), and the
+    stages cover 1..q^2 without a gap (a new table probes from i = 1).
+    When A >= cycle start the first hit in the epoch is therefore the
+    cycle length.  The hit is checked at the anchor, x^A = x^(A +
+    candidate), which holds exactly when it is.  When x^A is still before
+    the cycle the check fails, but the collision itself proves x^(A+j) =
+    x^(A+iq) to lie in the cycle and the candidate to be a multiple of the
+    cycle length, which _least_period reduces there.  At bounds that are
+    powers of 4, x^A, x^q and x^((q/2)^2) are squares of the ladder.
     """
     q = ceil_sqrt(bound)
-    base = powers(bound)
-    table, last, repeat = table_walk(ctx, base, x, q)
+    covered = anchored.size * anchored.size
+    table, last, repeat = table_walk(ctx, anchored.last, x,
+                                     q - anchored.size, anchored.table,
+                                     anchored.size)
     if repeat is not None:
         k1, k2 = repeat
         return k2 - k1, Alg4Round(bound, q, k2, None, k2 - k1, True, k2)
-    del table[last]  # x^(N+q) is the first giant probe, not a table entry
+    del table[last]  # x^(A+q) is the next stage's first entry, not this one's
+    anchored.last, anchored.size = last, q
 
-    hit = probe_walk(ctx, table, last, powers(q), q)
+    skip = covered // q  # giants 1..skip cover candidates already probed
+    giant = ctx.mul(last, powers(skip * q)) if skip else last
+    hit = probe_walk(ctx, table, giant, powers(q), q - skip)
     if hit is None:
         return None, Alg4Round(bound, q, None, None, None, False, q)
-    candidate = hit[0] * q - hit[1]
-    accepted = ctx.mul(powers(candidate), base) == base
-    return (candidate if accepted else None), Alg4Round(
-        bound, q, None, hit, candidate, accepted, q)
+    i, j = hit[0] + skip, hit[1]
+    candidate = i * q - j
+    base = anchored.base
+    length = candidate
+    if ctx.mul(powers(candidate), base) != base:
+        length = _least_period(ctx, powers, ctx.mul(powers(j), base),
+                               candidate)
+    return length, Alg4Round(bound, q, None, (i, j), candidate, True, q)
 
 
 def deterministic_cycle_length(ctx: SemigroupContext, x,
                                known_bound: int | None = None):
     """Exact cycle length of a torsion element; returns (L, Alg4Trace).
 
-    Without a bound, rounds run at N = 1, 4, 16, ... until a validated
-    collision appears, which is guaranteed once N reaches
-    max(cycle start, cycle length).  With `known_bound` (an upper bound on
-    the order), a single round at that bound suffices and a failure to
-    find a collision raises instead of growing the bound.
+    Without a bound, rounds run at B = 1, 4, 16, ... until one finds a
+    collision.  A table started at bound B0 is anchored at x^(B0^2) and
+    grows in place at each bound up to B0^2; the next round starts a new
+    table.  A collision is certain once a table's anchor B0^2 is at least
+    the cycle start and its bound at least the cycle length.  With
+    `known_bound` B, a single round on a table started at B suffices
+    whenever B >= cycle length and B^2 >= cycle start (B at least the
+    order is enough); a round without a collision raises instead of
+    growing the bound.
     """
     check_context(ctx).validate(x)
     if known_bound is not None:
         check_int(known_bound, "known_bound", 1)
     trace = Alg4Trace()
     powers = Powers(ctx, x)
+    anchored = None
 
     def attempt(bound):
-        result, rec = _alg4_round(ctx, x, powers, bound)
+        nonlocal anchored
+        if anchored is None or bound > anchored.limit:
+            anchored = _AnchoredTable(powers, bound)
+        result, rec = _alg4_round(ctx, x, powers, bound, anchored)
         trace.rounds.append(rec)
         trace.table_peak = max(trace.table_peak, rec.table_size)
         return result
@@ -187,7 +237,8 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
     return _doubling_search(
         ctx, trace, attempt, known_bound or 1, known_bound is None,
         f"no validated collision at bound {known_bound}; the bound must be "
-        "at least max(cycle start, cycle length)")
+        "at least the cycle length, and its square at least the cycle "
+        "start")
 
 
 def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int) -> int:

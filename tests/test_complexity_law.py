@@ -15,12 +15,17 @@ multiplicative order L = N modulo a prime p = kL + 1 (no tail), and
 modulo 2^a * p, x = 2 mod 2^a and of order L mod p, which puts the cycle
 start at s = a and the order at a + L - 1 = N.
 
-The constants below are stated before any run.  On the monogenic
-instances the code measured a worst 6.55 * sqrt(N) multiplications, a
-table peak of 1.915 * sqrt(N) and a slope of -0.012 per octave; on the
-zmod set 6.55 * sqrt(N), 1.915 * sqrt(N) and -0.061.  The x4 bound
-schedule's worst case sits just above a power of 4, and a log factor in
-the count would show as a positive slope.
+The constants below are stated before any run.  With a fresh baby table
+per x4 round, the monogenic instances measured a worst 6.55 * sqrt(N)
+multiplications (mean 4.13), a table peak of 1.915 * sqrt(N) and a slope
+of -0.012 per octave, and the zmod set 6.55 * sqrt(N), 1.915 * sqrt(N)
+and -0.061, under a bound of 7.  With one table per epoch, anchored at
+x^(B0^2) and grown in place, the bound was tightened to 6 before the run,
+which measured a worst 5.40 * sqrt(N) (mean 2.43), a peak of
+1.915 * sqrt(N) and a slope of -0.021 on the monogenic instances, and
+5.40 * sqrt(N), 1.915 * sqrt(N) and -0.103 on the zmod set.  The x4
+bound schedule's worst case sits just above a power of 4, and a log
+factor in the count would show as a positive slope.
 """
 
 import math
@@ -36,7 +41,7 @@ from semidlog import (
 )
 from semidlog.numtheory import factor_integer, is_prime
 
-MAX_MULTS_PER_SQRT_N = 7.0
+MAX_MULTS_PER_SQRT_N = 6.0
 MAX_PEAK_PER_SQRT_N = 2.0       # table_peak <= 2 * sqrt(N) + 1
 MAX_SLOPE_PER_OCTAVE = 0.02     # of mults / sqrt(N) against log2 N
 

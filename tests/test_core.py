@@ -263,13 +263,15 @@ def test_record_json_keeps_its_key_order():
         == '{"kind": "progression", "m0": 5, "period": 20}'
     assert json.dumps(solution_set(1, CycleStructure(2, 20)).to_json()) \
         == '{"kind": "unique", "m": 1}'
+    # 7 multiplications: x^2 at bound 1, then the anchor x^16 (4 squares)
+    # and the 2 steps to the repeat at bound 4, whose table starts there
     length, trace = deterministic_cycle_length(MonogenicContext(1, 2), 1)
     assert json.dumps(trace.to_json()) == (
         '{"rounds": [{"bound": 1, "stride": 1, "baby_hit": null, '
         '"giant_hit": null, "candidate": null, "accepted": false, '
         '"table_size": 1}, {"bound": 4, "stride": 2, "baby_hit": 2, '
         '"giant_hit": null, "candidate": 2, "accepted": true, '
-        '"table_size": 2}], "multiplications": 5, "cycle_length": 2, '
+        '"table_size": 2}], "multiplications": 7, "cycle_length": 2, '
         '"table_peak": 2}')
     assert trace.rounds[0].to_json() == {
         "bound": 1, "stride": 1, "baby_hit": None, "giant_hit": None,

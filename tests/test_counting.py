@@ -293,6 +293,25 @@ def test_table_walk_counter_equals_raw_products(case):
         assert table[last] == (repeat[0] if repeat else n)
 
 
+def test_table_walk_continues_a_table_in_place():
+    # x^1 .. x^3 in a first walk; the same table continued from x^4 at
+    # index 3 meets x^7 = x^3, an entry of the first walk, and counts only
+    # its own products.  A shorter continuation ends without a repeat
+    for generic in (False, True):
+        for n, repeat, products, last in ((4, (2, 6), 3, 3),
+                                          (2, None, 2, 6)):
+            ctx = MonogenicContext(3, 4)
+            if generic:
+                generic_walks(ctx)
+            calls = _count_calls(ctx, "_product")
+            table, _, _ = table_walk(ctx, 1, 1, 2)
+            grown, end, got = table_walk(ctx, 4, 1, n, table, 3)
+            assert grown is table and got == repeat and end == last
+            assert ctx.mult_count == 2 + products
+            assert calls[0] == (2 + products if generic else 0)
+            assert table == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+
+
 # probes x^cur, x^(cur+step), ... against the table {x^4: 0, x^5: 1};
 # (cur, step, n, hit, products) per walk
 PROBE_WALKS = {

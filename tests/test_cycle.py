@@ -149,20 +149,25 @@ def test_unknown_bound_schedules_quadruple():
     assert det.rounds[-1].accepted
 
 
+CRITERION_6_SPLITS = [lambda n: (1, n), lambda n: (n // 2, n // 2 + 1),
+                      lambda n: (n - 1, 2), lambda n: (2, n - 1)]
+
+
+def _criterion_6_instances():
+    """Criterion 6's (s, L): orders 2^8 .. 2^20, four splits each."""
+    return [split(2 ** k) for k in range(8, 21, 2)
+            for split in CRITERION_6_SPLITS]
+
+
 def test_deterministic_cost_per_sqrt_order_on_envelope():
-    # criterion 6's instances: orders 2^8 .. 2^20, four (s, L) splits each;
     # the mean of multiplications / sqrt(order) was 7.34 when the bound
-    # doubled and is 4.23 when it quadruples
-    splits = [lambda n: (1, n), lambda n: (n // 2, n // 2 + 1),
-              lambda n: (n - 1, 2), lambda n: (2, n - 1)]
+    # doubled, 3.48 with a fresh table per x4 round and is 2.39 with one
+    # table per epoch, grown in place (bound stated before the run: 3.0)
     ratios = []
-    for k in range(8, 21, 2):
-        order = 2 ** k
-        for split in splits:
-            _, trace = deterministic_cycle_length(
-                MonogenicContext(*split(order)), 1)
-            ratios.append(trace.multiplications / math.sqrt(order))
-    assert sum(ratios) / len(ratios) < 5.5
+    for s, length in _criterion_6_instances():
+        _, trace = deterministic_cycle_length(MonogenicContext(s, length), 1)
+        ratios.append(trace.multiplications / math.sqrt(s + length - 1))
+    assert sum(ratios) / len(ratios) < 3.0
 
 
 def test_deterministic_accepted_round_satisfies_length_identity():
@@ -180,18 +185,89 @@ def test_deterministic_accepted_round_satisfies_length_identity():
             assert final.baby_hit == got
 
 
-def test_deterministic_straddle_round_rejected_not_trusted():
-    # at bound 16 the table straddles the cycle start and the collision
-    # suggests 14 = 2*7; the check x^16 = x^30 fails and the round is
-    # discarded rather than reported
+def test_deterministic_straddle_candidate_reduced_not_trusted():
+    # s = 18, L = 7: the table of bounds 4 and 16 is anchored at x^16,
+    # before the cycle.  At bound 16 the giant x^32 meets x^18 and suggests
+    # 14 = 2*7; the anchor check x^16 = x^30 fails, but the collision puts
+    # x^18 in the cycle, where least_period reduces 14 to 7
     ctx = MonogenicContext(18, 7)
     length, trace = deterministic_cycle_length(ctx, 1)
-    assert length == 7
-    straddle = [r for r in trace.rounds if r.bound == 16][0]
-    assert straddle.giant_hit is not None
-    assert straddle.candidate == 14
-    assert not straddle.accepted
-    assert trace.rounds[-1].accepted
+    assert length == trace.cycle_length == 7
+    assert [r.bound for r in trace.rounds] == [1, 4, 16]
+    final = trace.rounds[-1]
+    assert (final.stride, final.giant_hit, final.candidate) == (4, (4, 2), 14)
+    assert final.accepted
+    assert power(ctx, 1, 32) == power(ctx, 1, 18)
+    assert power(ctx, 1, 30) != power(ctx, 1, 16)
+
+
+def test_deterministic_anchor_check_fails_on_the_exact_length():
+    # s = 17, L = 3: at bound 4 the table x^16, x^17 is anchored one step
+    # before the cycle, and the giant x^20 meets x^17: candidate 3 = L,
+    # yet x^16 = x^19 fails.  The collision alone proves x^17 in the
+    # cycle, so the round returns 3 there instead of growing the table
+    ctx = MonogenicContext(17, 3)
+    length, trace = deterministic_cycle_length(ctx, 1)
+    assert length == 3
+    assert [r.bound for r in trace.rounds] == [1, 4]
+    final = trace.rounds[-1]
+    assert (final.stride, final.giant_hit, final.candidate,
+            final.accepted) == (2, (2, 1), 3, True)
+    assert power(ctx, 1, 19) != power(ctx, 1, 16)
+    # bound 1: 1 step; bound 4: x^16 (4 squares), 2 steps, 1 giant step,
+    # x^3 (1) and its check (1), then x^17 (1) and least_period at x^17:
+    # its entry check with x^3 again (2) and the cofactor check for p = 3
+    # (1)
+    assert trace.multiplications == 1 + 4 + 2 + 1 + 2 + 1 + 3
+
+
+def test_deterministic_grown_table_first_hit_is_the_length():
+    # s = 1 puts every anchor in the cycle, so the first collision of a
+    # table is the cycle length: a baby repeat, or a giant (i, j) with
+    # i*q - j = L, in the first round whose bound reaches L; the earlier
+    # rounds of the same table (bounds up to its first bound squared)
+    # find nothing
+    for length in range(1, 301):
+        got, trace = deterministic_cycle_length(
+            MonogenicContext(1, length), 1)
+        assert got == length
+        final = trace.rounds[-1]
+        assert final.accepted
+        assert final.bound >= length and all(
+            r.bound < length for r in trace.rounds[:-1])
+        if final.giant_hit is not None:
+            i, j = final.giant_hit
+            assert i * final.stride - j == length
+        else:
+            assert final.candidate == length
+        first = final.bound
+        for rec in reversed(trace.rounds[:-1]):
+            if rec.bound * rec.bound < first:
+                break  # a table that ended before this one started
+            first = rec.bound
+            assert rec.giant_hit is rec.baby_hit is rec.candidate is None
+            assert not rec.accepted
+
+
+def test_deterministic_known_bound_of_the_last_round_gives_the_same_length():
+    # a table started at the bound-free run's last bound B is anchored at
+    # B^2, at or past the bound-free anchor, and B >= L: so the single
+    # round succeeds (perfbench's useful_mult_frac runs exactly this)
+    cases = [(MonogenicContext, (s, length), 1, length)
+             for s, length in _criterion_6_instances()]
+    rng = random.Random("known-bound/zmod")
+    for _ in range(60):
+        modulus = rng.randint(2, 20000)
+        x = rng.randrange(modulus)
+        truth = brute_force_cycle(ZModContext(modulus), x)
+        cases.append((ZModContext, (modulus,), x, truth.cycle_length))
+    for family, args, x, length in cases:
+        got, trace = deterministic_cycle_length(family(*args), x)
+        assert got == length
+        again, single = deterministic_cycle_length(
+            family(*args), x, known_bound=trace.rounds[-1].bound)
+        assert again == length, (family, args, x)
+        assert len(single.rounds) == 1
 
 
 def test_deterministic_matches_oracle_on_grid():
@@ -211,31 +287,42 @@ def test_deterministic_known_bound_single_round():
 
 
 def test_deterministic_known_bound_too_small_raises():
+    # bound 4 < L = 7 (and 4^2 = 16 < s = 18): the round probes the
+    # candidates 1..4 from the anchor x^16 and finds none.  Bound 16 would
+    # now succeed: 16 >= L and its anchor x^256 lies in the cycle
     ctx = MonogenicContext(18, 7)
-    with pytest.raises(SemigroupError):
-        deterministic_cycle_length(ctx, 1, known_bound=16)
+    with pytest.raises(SemigroupError, match="no validated collision at "
+                       "bound 4; the bound must be at least the cycle "
+                       "length, and its square at least the cycle start"):
+        deterministic_cycle_length(ctx, 1, known_bound=4)
+    assert deterministic_cycle_length(ctx, 1, known_bound=16)[0] == 7
 
 
 def test_deterministic_accepts_a_baby_repeat_before_the_cycle_start():
-    # s = 17, L = 3: at bound 16 (q = 4) the baby walk x^16 .. x^20 starts
-    # one step before the cycle and first repeats at x^20 = x^17, which
-    # spans exactly one cycle
-    ctx = MonogenicContext(17, 3)
+    # s = 257, L = 3 at known bound 16 (q = 4): the table is anchored at
+    # x^256, one step before the cycle, and the walk x^256 .. x^260 first
+    # repeats at x^260 = x^257, which spans exactly one cycle
+    ctx = MonogenicContext(257, 3)
     length, trace = deterministic_cycle_length(ctx, 1, known_bound=16)
     assert length == 3
-    assert ctx.mult_count == trace.multiplications == 8  # x^16: 4, walk: 4
+    assert ctx.mult_count == trace.multiplications == 12  # x^256: 8, walk: 4
     (rec,) = trace.rounds
     assert (rec.baby_hit, rec.giant_hit, rec.candidate, rec.accepted,
             rec.table_size) == (4, None, 3, True, 4)
 
-    # the rounds share one ladder of x: round 1 walks 1 step, round 2
-    # squares twice for x^4 (x^2 comes free) and makes 3 steps, round 3
-    # squares twice more for x^16 and walks 4
-    ctx = MonogenicContext(17, 3)
+    # s = 17, L = 2 bound-free: bounds 4 and 16 share the table anchored
+    # at x^16.  Bound 4 walks x^16 .. x^18 and its giants x^18, x^20 find
+    # nothing; bound 16 walks on from x^18, and its first step x^19 meets
+    # x^17, an entry of bound 4's walk
+    ctx = MonogenicContext(17, 2)
     length, trace = deterministic_cycle_length(ctx, 1)
-    assert length == 3
+    assert length == 2
     assert [r.bound for r in trace.rounds] == [1, 4, 16]
-    assert trace.multiplications == 1 + 5 + 6
+    final = trace.rounds[-1]
+    assert (final.baby_hit, final.candidate, final.table_size) == (3, 2, 3)
+    # bound 1 walks 1 step; bound 4 squares 4 times for x^16 (x^2 comes
+    # free), walks 2 steps and makes 1 giant step; bound 16 walks 1 step
+    assert trace.multiplications == 1 + 7 + 1
 
 
 def test_deterministic_table_sizes_respect_sqrt_bound():

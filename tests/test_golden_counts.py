@@ -63,12 +63,22 @@ SPECS = {
 # oracle checks from one ladder of h shared by its inner queries; and
 # cycle_start_search's probes x^c.  Each case's comment splits that move
 # between the algorithm and the start search; answers and every trace
-# field but the multiplications are unchanged (BANIN_ROUNDS below)
+# field but the multiplications are unchanged (BANIN_ROUNDS below).
+# The deterministic algorithm keeps one baby table per epoch, anchored at
+# x^(B0^2) for the epoch's first bound B0 and grown in place up to bound
+# B0^2 (epochs start at 1, 4, 64, 16384, ...).  Bound-free ("grown
+# table"), a round continues the last round's walk and probes only the
+# candidates it adds, but a new epoch squares up to its anchor x^(B0^2),
+# so counts that accept early in an epoch rise by those squares.  With a
+# known bound B ("anchor x^(B^2)"), the one round's anchor takes about
+# log2 B more squares than x^B.  Answers and accepting bounds unchanged
 CYCLE_CASES = {
-    # algorithm 87 -> 59, start search 17 -> 15
-    ("zmod", "deterministic", None): (3, 100, 74),
-    # algorithm 43 -> 34, start search 17 -> 15
-    ("zmod", "deterministic", 102): (3, 100, 49),
+    # algorithm 87 -> 59, start search 17 -> 15; grown table: algorithm
+    # 59 -> 50 (accepts at 256 on the table anchored at x^4096)
+    ("zmod", "deterministic", None): (3, 100, 65),
+    # algorithm 43 -> 34, start search 17 -> 15; anchor x^(B^2): algorithm
+    # 34 -> 42 (x^10404, 13 squares, against x^102, 6)
+    ("zmod", "deterministic", 102): (3, 100, 57),
     # algorithm 199 -> 104, start search 17 -> 15
     ("zmod", "monico", None): (3, 100, 119),
     # algorithm 97 -> 58, start search 17 -> 15
@@ -79,10 +89,13 @@ CYCLE_CASES = {
     # algorithm 594 -> 342, start search 17 -> 15; outer rounds default
     # 3: algorithm 342 -> 265
     ("zmod", "banin-tsaban", 102): (3, 100, 280),
-    # algorithm 45 -> 29, start search 14 -> 12
-    ("matmod", "deterministic", None): (3, 18, 41),
-    # algorithm 22 -> 16, start search 14 -> 12
-    ("matmod", "deterministic", 20): (3, 18, 28),
+    # algorithm 45 -> 29, start search 14 -> 12; grown table: algorithm
+    # 29 -> 33 (accepts at 64, the first bound of the epoch anchored at
+    # x^4096, 6 squares past x^64)
+    ("matmod", "deterministic", None): (3, 18, 45),
+    # algorithm 22 -> 16, start search 14 -> 12; anchor x^(B^2): algorithm
+    # 16 -> 21 (x^400, against x^20)
+    ("matmod", "deterministic", 20): (3, 18, 33),
     # algorithm 67 -> 34, start search 14 -> 12
     ("matmod", "monico", None): (3, 18, 46),
     # algorithm 51 -> 28, start search 14 -> 12
@@ -93,10 +106,12 @@ CYCLE_CASES = {
     # 3: algorithm 159 -> 306 (three rounds at 20 reach lcm 6, where the
     # fourth made it 18; accepts at 80)
     ("matmod", "banin-tsaban", 20): (3, 18, 318),
-    # algorithm 10 -> 8, start search 11 -> 9
-    ("boolmat", "deterministic", None): (4, 3, 17),
-    # algorithm 6 -> 6, start search 11 -> 9
-    ("boolmat", "deterministic", 6): (4, 3, 15),
+    # algorithm 10 -> 8, start search 11 -> 9; grown table: algorithm
+    # 8 -> 10 (accepts at 4, whose epoch is anchored at x^16, not x^4)
+    ("boolmat", "deterministic", None): (4, 3, 19),
+    # algorithm 6 -> 6, start search 11 -> 9; anchor x^(B^2): algorithm
+    # 6 -> 9 (x^36, against x^6)
+    ("boolmat", "deterministic", 6): (4, 3, 18),
     # algorithm 26 -> 14, start search 11 -> 9
     ("boolmat", "monico", None): (4, 3, 23),
     # algorithm 12 -> 11, start search 11 -> 9
@@ -105,10 +120,12 @@ CYCLE_CASES = {
     ("boolmat", "banin-tsaban", None): (4, 3, 110),
     # algorithm 134 -> 75, start search 11 -> 9
     ("boolmat", "banin-tsaban", 6): (4, 3, 84),
-    # algorithm 23 -> 16, start search 22 -> 15
-    ("transformation", "deterministic", None): (5, 7, 31),
-    # algorithm 17 -> 13, start search 22 -> 15
-    ("transformation", "deterministic", 11): (5, 7, 28),
+    # algorithm 23 -> 16, start search 22 -> 15; grown table: algorithm
+    # 16 -> 14 (accepts at 16 on the table bound 4 began)
+    ("transformation", "deterministic", None): (5, 7, 29),
+    # algorithm 17 -> 13, start search 22 -> 15; anchor x^(B^2): algorithm
+    # 13 -> 18 (x^121, against x^11)
+    ("transformation", "deterministic", 11): (5, 7, 33),
     # algorithm 28 -> 16, start search 22 -> 15
     ("transformation", "monico", None): (5, 7, 31),
     # algorithm 30 -> 17, start search 22 -> 15
@@ -117,10 +134,12 @@ CYCLE_CASES = {
     ("transformation", "banin-tsaban", None): (5, 7, 126),
     # algorithm 179 -> 100, start search 22 -> 15
     ("transformation", "banin-tsaban", 11): (5, 7, 115),
-    # algorithm 157 -> 114, start search 76 -> 36
-    ("monogenic", "deterministic", None): (37, 360, 150),
-    # algorithm 65 -> 53, start search 76 -> 36
-    ("monogenic", "deterministic", 396): (37, 360, 89),
+    # algorithm 157 -> 114, start search 76 -> 36; grown table: algorithm
+    # 114 -> 80 (accepts at 1024 on the table bound 64 began)
+    ("monogenic", "deterministic", None): (37, 360, 116),
+    # algorithm 65 -> 53, start search 76 -> 36; anchor x^(B^2): algorithm
+    # 53 -> 64 (x^156816, against x^396)
+    ("monogenic", "deterministic", 396): (37, 360, 100),
     # algorithm 349 -> 194, start search 76 -> 36
     ("monogenic", "monico", None): (37, 360, 230),
     # algorithm 102 -> 63, start search 76 -> 36
