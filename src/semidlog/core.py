@@ -13,12 +13,11 @@ hashable value, so `==` and `hash` are element equality: collision tables
 are plain dicts keyed by the element, and equality tests compare elements
 directly.  The byte key is the stable serialization format only (golden
 encodings, output); no algorithm needs it.  Besides `power`, the module
-holds `Powers`, the fixed-base ladder for many powers of one base, and
-the collision-table primitive: `table_walk`, `probe_walk` and
-`table_walk_all`.  `power` and the three walks are written once as a
-template, instantiated once per (BIND, STEP, POWER) triple of a product
-step and power and looked up by the context's `_walk_step` on every call
-(see SemigroupContext).
+holds `Powers`, the fixed-base ladder every power without a closed form
+is taken on, and the collision-table primitive: `table_walk`,
+`probe_walk` and `table_walk_all`, written once as a template,
+instantiated once per (BIND, STEP) pair of a product step and looked up
+by the context's `_walk_step` on every call (see SemigroupContext).
 
 The public functions check their context argument with `check_context`
 and their integer arguments with `check_int`.  Both run on every call,
@@ -72,26 +71,9 @@ def check_int(value, name: str, least: int | None = None) -> int:
     return value
 
 
-def _square_and_multiply(times_x: str) -> str:
-    """A POWER fragment: cur = x^e by left-to-right square and multiply,
-    squaring with `prod` and multiplying by x with the expression
-    `times_x`."""
-    return ("cur = x\n"
-            "for bit in bin(e)[3:]:\n"
-            "    cur = prod(cur, cur)\n"
-            "    if bit == \"1\":\n"
-            f"        cur = {times_x}")
-
-
-# The two (BIND, STEP, POWER) triples of the families without a product
-# step of their own: one `_product` call per product, or, for a family
-# that overrides `_right`, the walk's fixed step bound once per call
-_DIRECT_STEP = ("prod = ctx._product", "cur = prod(cur, step)",
-                _square_and_multiply("prod(cur, x)"))
-_BOUND_STEP = ("prod = ctx._product\ntimes = ctx._right(step)",
-               "cur = times(cur)", _square_and_multiply("times(cur)"))
-# their POWER fragments, which Powers replaces by its squares ladder
-_LADDER_POWERS = (_DIRECT_STEP[2], _BOUND_STEP[2])
+# The generic (BIND, STEP) pair of the walks: the walk's fixed step bound
+# once per call through `_right`, then applied once per step
+_GENERIC_STEP = ("times = ctx._right(step)", "cur = times(cur)")
 # every subclass of SemigroupContext, added as its class is created: the
 # C-level test in check_context
 _CONTEXT_CLASSES = set()
@@ -113,41 +95,35 @@ class SemigroupContext(ABC):
     `Powers` and the three collision walks `table_walk`, `probe_walk` and
     `table_walk_all`, make their products without `mul` and add them to
     the counter in one step per exit, so inside one it is updated only at
-    that exit.  A family's one-step power (zmod, monogenic; see below)
-    counts the products that square and multiply would make, and its
-    one-step ladder those that the ladder's squares would.  Only a
-    family whose product raises can leave it wrong: short by the products
-    made so far.  `mul` stays the one counted single product, for code
-    outside the bulk counters.
+    that exit.  Only a family whose product raises can leave it wrong:
+    short by the products made so far.  `mul` stays the one counted
+    single product, for code outside the bulk counters.
 
-    `power` and the walks come from one template (`_WALK_TEMPLATE`),
-    instantiated once per distinct `_walk_step` triple and looked up by it
-    on every call, so a triple set on one instance takes effect there.
-    The default step calls `_product` once per product (boolmat).  A
-    family that overrides `_right(b)`, a callable a -> a*b that does the
-    work depending on b alone once per binding (matmod, transformation),
-    walks by `_BOUND_STEP` instead, set when its class is created: each
-    walk binds its fixed step once per call, power binds its base, and
-    the squares ladder each stored square it multiplies by.  A family
-    whose product is a line or two of arithmetic (zmod, monogenic) writes
-    it into the walks instead, and takes x^e in one step of the same
-    arithmetic, so its walks, powers and ladders call no `_product`.  A
-    family that overrides `_walk_step` or `_right` must step exactly as
-    its `_product` multiplies and return the power that square and
-    multiply over its `_product` would.
+    The walks come from one template (`_WALK_TEMPLATE`), instantiated once
+    per distinct `_walk_step` pair and looked up by it on every call, so a
+    pair set on one instance takes effect there.  The generic pair binds
+    the walk's fixed step once per call through `_right(b)`, a callable
+    a -> a*b: the default wraps `_product` (boolmat), and matmod and
+    transformation override it to do the work depending on b alone once
+    per binding.  A family whose product is a line or two of arithmetic
+    (zmod, monogenic) writes it into the walks instead, and `_power(a, e)`
+    takes a^e in one step of the same arithmetic, so its walks, powers
+    and ladders call no `_product`.  Every other family takes powers on
+    the squares ladder `Powers`.  A family that overrides `_walk_step`,
+    `_right` or `_power` must step exactly as its `_product` multiplies
+    and return the power that its `_product` would.
     """
 
     family: str = "abstract"
-    # (BIND, STEP, POWER) source fragments of the walks' product step and
-    # of power's x^e
-    _walk_step = _DIRECT_STEP
+    # (BIND, STEP) source fragments of the walks' product step
+    _walk_step = _GENERIC_STEP
+    # a^e in one step, uncounted, for a family with a closed form; None
+    # takes powers on the squares ladder
+    _power = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         _CONTEXT_CLASSES.add(cls)
-        if (cls._walk_step == _DIRECT_STEP
-                and cls._right is not SemigroupContext._right):
-            cls._walk_step = _BOUND_STEP
 
     def __init__(self) -> None:
         self.mult_count = 0
@@ -178,8 +154,7 @@ class SemigroupContext(ABC):
 
     def _right(self, b):
         """The product by the fixed right factor b, a -> a*b, uncounted,
-        for many products by one b.  The default wraps `_product`; the
-        walks use it only for a family that overrides it."""
+        for many products by one b.  The default wraps `_product`."""
         product = self._product
         return lambda a: product(a, b)
 
@@ -218,16 +193,21 @@ def multiply(ctx: SemigroupContext, a, b):
 
 
 def power(ctx: SemigroupContext, x, e: int):
-    """x^e, for e >= 1, by square and multiply or the family's one-step
-    power (see SemigroupContext).
+    """x^e, for e >= 1, by the family's one-step power (zmod, monogenic;
+    see SemigroupContext) or on a squares ladder `Powers`.
 
     Counts exactly (bit_length(e) - 1) + (popcount(e) - 1)
     multiplications, the products of square and multiply, which is at
-    most 2*floor(log2 e) + 1, added to the counter at the exit.
+    most 2*floor(log2 e) + 1, added to the counter at the exit.  Raises
+    IncompatibleElementError when x does not belong to the context's
+    instance.
     """
-    check_context(ctx)
+    check_context(ctx).validate(x)
     check_int(e, "exponent", 1)  # no x^0: a semigroup has no identity
-    result = _WALKS[ctx._walk_step].power(ctx, x, e)
+    one_step = ctx._power
+    if one_step is None:
+        return Powers(ctx, x)(e)
+    result = one_step(x, e)
     ctx.mult_count += e.bit_length() + e.bit_count() - 2
     return result
 
@@ -241,17 +221,15 @@ class Powers:
     popcount(e) - 1 products, added to the counter once, at the exit.
     Worth it wherever one call takes several powers of the same base.
 
-    A family with a POWER fragment of its own (zmod, monogenic; see
-    SemigroupContext) makes each x^e in one step of that fragment and
-    stores no squares.  It counts what the squares would: popcount(e) - 1,
-    plus bit_length(e) - top when that is positive, where `top` is the
-    largest bit length reached so far in this ladder.  Other families keep
-    the list of squares, and x^e visits only the set bits of e.  It
-    multiplies by each square with one `_product` call, or, for a family
-    on `_BOUND_STEP`, through `ctx._right`, bound once per square on its
-    first use as a factor.  The path is taken from `ctx._walk_step` when
-    the ladder is built.  Build one inside a call and drop it at the end;
-    the squares are never shared between calls.
+    It visits only the set bits of e and multiplies by each square
+    through `ctx._right`, bound once per square on its first use as a
+    factor.  A family with a one-step `_power` (zmod, monogenic; see
+    SemigroupContext) makes each x^e by it and stores no squares.  It
+    counts what the squares would: popcount(e) - 1, plus bit_length(e) -
+    top when that is positive, where `top` is the largest bit length
+    reached so far in this ladder.  The path is taken from `ctx._power`
+    when the ladder is built.  Build one inside a call and drop it at the
+    end; the squares are never shared between calls.
     """
 
     __slots__ = ("ctx", "squares", "rights", "top", "one_step")
@@ -259,17 +237,14 @@ class Powers:
     def __init__(self, ctx: SemigroupContext, x) -> None:
         self.ctx = ctx
         self.squares = [x]
-        walk_step = ctx._walk_step
-        # i -> the bound product by squares[i], on _BOUND_STEP only
-        self.rights = {} if walk_step == _BOUND_STEP else None
+        self.rights = {}  # i -> the bound product by squares[i]
         self.top = 1  # x = x^(2^0) is the first square
-        self.one_step = (None if walk_step[2] in _LADDER_POWERS
-                         else _WALKS[walk_step].power)
+        self.one_step = ctx._power
 
     def __call__(self, e: int):
         check_int(e, "exponent", 1)
         if self.one_step is not None:
-            result = self.one_step(self.ctx, self.squares[0], e)
+            result = self.one_step(self.squares[0], e)
             made = e.bit_count() - 1
             bits = e.bit_length()
             if bits > self.top:
@@ -290,33 +265,22 @@ class Powers:
             low = e & -e
             e ^= low
             i = low.bit_length() - 1
-            if rights is None:
-                result = prod(result, squares[i])
-            else:
-                times = rights.get(i)
-                if times is None:
-                    times = rights[i] = ctx._right(squares[i])
-                result = times(result)
+            times = rights.get(i)
+            if times is None:
+                times = rights[i] = ctx._right(squares[i])
+            result = times(result)
             made += 1
         ctx.mult_count += made
         return result
 
 
-# x^e, uncounted (`power` and `Powers` count it), and the collision walks,
-# written once.  A family's `_walk_step` is a triple of source fragments:
-# BIND, the statements that read what its product needs from `ctx` and
-# the fixed factor `step`, STEP, the statements that set `cur` to
-# cur*step, and POWER, the statements that set `cur` to x^e and leave e
-# as it was.  The template is instantiated once per distinct triple, on
-# first use, and shared by every context with that triple.
+# The collision walks, written once.  A family's `_walk_step` is a pair
+# of source fragments: BIND, the statements that read what its product
+# needs from `ctx` and the fixed factor `step`, and STEP, the statements
+# that set `cur` to cur*step.  The template is instantiated once per
+# distinct pair, on first use, and shared by every context with that
+# pair.
 _WALK_TEMPLATE = """\
-def power(ctx, x, e):
-    step = x  # power's fixed right factor is its base
-    BIND
-    POWER
-    return cur
-
-
 def table_walk(ctx, start, step, n, table=None, index=0):
     BIND
     if table is None:
@@ -359,9 +323,8 @@ def table_walk_all(ctx, start, step, n):
 
 
 class _Walks(dict):
-    """(BIND, STEP, POWER) triple -> the uncounted power and the three
-    walks of _WALK_TEMPLATE for it, instantiated on the triple's first
-    lookup.
+    """(BIND, STEP) pair -> the three walks of _WALK_TEMPLATE for it,
+    instantiated on the pair's first lookup.
 
     Each placeholder line is replaced by the fragment's lines at that
     line's indentation.  The source is built from the families' own class
@@ -369,20 +332,20 @@ class _Walks(dict):
     """
 
     def __missing__(self, walk_step: tuple) -> SimpleNamespace:
-        fragments = dict(zip(("BIND", "STEP", "POWER"), walk_step))
+        fragments = dict(zip(("BIND", "STEP"), walk_step))
 
         def fill(match):
             indent = match.group(1)
             return "\n".join(indent + line for line in
                              fragments[match.group(2)].splitlines())
 
-        source = re.sub(r"^( *)(BIND|STEP|POWER)$", fill, _WALK_TEMPLATE,
+        source = re.sub(r"^( *)(BIND|STEP)$", fill, _WALK_TEMPLATE,
                         flags=re.M)
         namespace = {}
         exec(compile(source, "<semidlog walks>", "exec"), namespace)
         walks = self[walk_step] = SimpleNamespace(**{
             name: namespace[name] for name in (
-                "power", "table_walk", "probe_walk", "table_walk_all")})
+                "table_walk", "probe_walk", "table_walk_all")})
         return walks
 
 

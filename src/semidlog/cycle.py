@@ -344,6 +344,7 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     check_context(ctx).validate(x)
     check_int(g, "g", 1)
     check_int(anchor_exp, "anchor_exp", 1)
+    check_int(divisor_bound, "divisor_bound", 2)
     powers = Powers(ctx, x)
     base = powers(anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):

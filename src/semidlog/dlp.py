@@ -159,6 +159,7 @@ class DlogSolution:
     period: int | None = None
 
     def contains(self, m: int) -> bool:
+        check_int(m, "m")
         if self.kind == "unique":
             return m == self.m0
         return m >= self.m0 and (m - self.m0) % self.period == 0

@@ -131,8 +131,7 @@ class ZModContext(SemigroupContext):
     """Multiplicative semigroup of integers modulo n."""
 
     family = "zmod"
-    _walk_step = ("m = ctx.modulus", "cur = cur * step % m",
-                  "cur = pow(x, e, m)")
+    _walk_step = ("m = ctx.modulus", "cur = cur * step % m")
 
     def __init__(self, modulus: int):
         _int_param(modulus, "modulus", 2)
@@ -155,6 +154,9 @@ class ZModContext(SemigroupContext):
 
     def _product(self, a, b):
         return a * b % self.modulus
+
+    def _power(self, a, e):
+        return pow(a, e, self.modulus)
 
     def key(self, a) -> bytes:
         # fixed-width big-endian residue
@@ -290,10 +292,9 @@ class BoolMatContext(SemigroupContext):
     `from_spec`, and `element_json` turns it back.  The constructor keeps
     d masks of d^2 bits, so d is capped at `max_dim` = 256, where they
     take ~2 MiB and one product ~20 ms.  It keeps the default `_right`,
-    so its walks, powers and ladders call `_product` once per product: a
-    bound form that copies b's rows into every row once was not
-    measurably faster, as most bound factors of the cycle algorithms are
-    used once or twice.
+    which calls `_product` once per product: a bound form that copies b's
+    rows into every row once was not measurably faster, as most bound
+    factors of the cycle algorithms are used once or twice.
     """
 
     family = "boolmat"
@@ -439,9 +440,6 @@ class MonogenicContext(SemigroupContext):
                   "ctx.cycle_length",
                   "cur += step\n"
                   "if cur > order:\n"
-                  "    cur = (cur - s) % L + s",
-                  "cur = x * e\n"
-                  "if cur > order:\n"
                   "    cur = (cur - s) % L + s")
 
     def __init__(self, s: int, L: int):
@@ -466,6 +464,12 @@ class MonogenicContext(SemigroupContext):
 
     def _product(self, a, b):
         n = a + b  # canon inlined: one Python call per product
+        if n <= self.order:
+            return n
+        return (n - self.cycle_start) % self.cycle_length + self.cycle_start
+
+    def _power(self, a, e):
+        n = a * e  # a^e = canon(a*e), reduced once
         if n <= self.order:
             return n
         return (n - self.cycle_start) % self.cycle_length + self.cycle_start

@@ -2,8 +2,8 @@
 
 Fast versions of the library's core guarantees: each family's product
 against a short reference that does not use it, the collision walks,
-powers and ladders with a family's own product step or bound right
-factor against the generic ones, algorithm-vs-oracle equivalence, the
+powers and ladders with a family's own product step, power or bound
+right factor against the generic ones, algorithm-vs-oracle equivalence, the
 two textbook counterexample scenarios, the power-period equivalence,
 inverse correctness, and agreement of the two discrete-log solvers.
 Each suite returns a named pass/fail result so a regression is
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass
+from types import MethodType
 
 from .core import (
     Powers,
@@ -122,7 +123,7 @@ def _reference_product(ctx, a, b) -> dict:
 
 
 # a^e in closed form, for the families that have one
-_CLOSED_POWERS = {
+_CLOSED_FORMS = {
     "zmod": lambda ctx, a, e: pow(a, e, ctx.modulus),
     "monogenic": lambda ctx, a, e: _canon(a * e, ctx.cycle_start,
                                           ctx.cycle_length),
@@ -141,7 +142,7 @@ def suite_product_reference(seed: int) -> SuiteResult:
         elems += [random_element(ctx.family, ctx.describe(),
                                  rng.randrange(2 ** 30))
                   for _ in range(3)]
-        closed = _CLOSED_POWERS.get(ctx.family)
+        closed = _CLOSED_FORMS.get(ctx.family)
         for _ in range(20):
             a, b, c = (rng.choice(elems) for _ in range(3))
             e = rng.randint(1, 1000)
@@ -182,9 +183,11 @@ def walk_results(ctx, start, step, n: int, probe_keys) -> list:
 def generic_walks(ctx):
     """`ctx` on the generic walks, powers and ladders, which call
     `_product` once per product: the reference for a family's own product
-    step (zmod, monogenic) and its own bound right factor (matmod,
-    transformation)."""
+    step and power (zmod, monogenic) and its own bound right factor
+    (matmod, transformation)."""
     ctx._walk_step = SemigroupContext._walk_step
+    ctx._power = None
+    ctx._right = MethodType(SemigroupContext._right, ctx)
     return ctx
 
 
@@ -203,9 +206,10 @@ def _walk_instance(i: int, rng):
 
 
 def suite_walk_reference(seed: int) -> SuiteResult:
-    """The walks, powers and ladders zmod and monogenic write their
-    product into, and those matmod and transformation run with their
-    bound right factors, against the generic ones, which call
+    """The walks zmod and monogenic write their product into, their
+    one-step powers and ladders, and the walks, powers and ladders matmod
+    and transformation run with their bound right factors, against the
+    generic ones, which call
     `_product` once per product, on seeded instances: the same tables,
     last values, repeats, hits, powers and counts."""
     rng = random.Random(seed)

@@ -5,10 +5,12 @@ fixed-base ladder `Powers`, and the three collision walks `table_walk`,
 `probe_walk` and `table_walk_all` in `core`, plus the Banin-Tsaban
 oracle's giant steps.  Each adds its multiplications to `ctx.mult_count`
 once per exit.  The walks come from one template: zmod and monogenic
-write their product into it and call no `_product`, matmod and
-transformation bind the walk's fixed step once per call through `_right`
-and make no `_product` call per step either, and boolmat calls `_product`
-once per product.
+write their product into it, take powers in one step by their `_power`
+and call no `_product`; every other family binds the walk's fixed step
+once per call through `_right`, and takes powers on the squares ladder,
+which binds each square it multiplies by.  matmod's and transformation's
+`_right` make no `_product` call per step; boolmat's default one calls
+`_product` once per product.
 
 So each route runs twice, on two fresh contexts of one instance: one with
 the family's own walks, one forced onto the generic walks, which call
@@ -20,11 +22,12 @@ raw calls must not exceed its counter, and equal it for a family on the
 generic path (boolmat).  A guard test checks that the zmod
 and monogenic walks, powers and ladders make no `_product` call at all,
 another that matmod's and transformation's walks bind their step once
-and make none either, one that a `_walk_step` set on an instance takes
-effect at its next walk, and seeded tests that the one-step powers match
-square and multiply, the one-step ladders the ladder of stored squares,
-and the costly families' powers and ladders square and multiply over
-`_product`.
+and make none either, one that a `_walk_step` or `_power` set on an
+instance takes effect at its next call, and seeded tests that the
+one-step powers match square and multiply, the one-step ladders the
+ladder of stored squares, and the costly families' powers and ladders
+square and multiply over `_product`, their ladders binding each square
+at most once.
 """
 
 import random
@@ -393,29 +396,41 @@ def test_zmod_and_monogenic_walks_call_no_product(family, walk):
 @pytest.mark.parametrize("walk", ["table_walk", "probe_walk", "power",
                                   "Powers"])
 def test_walk_step_set_on_an_instance_takes_effect(walk):
-    """The walks look their template up by the context's `_walk_step` on
-    every call, so a triple set on one instance after a first walk is
-    used from the next call on, there and nowhere else: the generic
-    triple sends zmod's walk to `_product`, and a triple never seen
-    before is instantiated on first use.  The forced-generic route above
-    and the `walk-reference` selftest rely on this; a cache per class
-    would fail here."""
+    """The walks look their template up by the context's `_walk_step`, and
+    `power` and `Powers` read its `_power`, on every call, so a (BIND,
+    STEP) pair or a `_power` set on one instance after a first call is
+    used from the next call on, there and nowhere else: the generic pair,
+    or no `_power`, sends zmod's walk or power to `_product`, a pair never
+    seen before is instantiated on first use, and a `_power` of the
+    instance's own is called.  The forced-generic route above and the
+    `walk-reference` selftest rely on this; a cache per class would fail
+    here."""
     run = GUARDED_WALKS[walk]
+    on_power = walk in ("power", "Powers")
     ctx, other = ZModContext(1000), ZModContext(1000)
     calls, other_calls = (_count_calls(ctx, "_product"),
                           _count_calls(other, "_product"))
     expected = run(ctx, 2, 3)
     made = ctx.mult_count
     assert calls[0] == 0
-    ctx._walk_step = SemigroupContext._walk_step
+    if on_power:
+        ctx._power = None
+    else:
+        ctx._walk_step = SemigroupContext._walk_step
     assert run(ctx, 2, 3) == expected
     assert calls[0] == ctx.mult_count - made > 0
-    # a triple never seen before that counts its runs; its power is no
-    # squares ladder's, so `Powers` runs it too
-    bind, step, pow_ = SemigroupContext._walk_step
-    mark = "\nctx.runs += 1"
-    ctx._walk_step = (bind + mark, step, pow_ + mark)
+    # a pair never seen before, or a `_power` of the instance's own, that
+    # counts its runs
     ctx.runs = 0
+    if on_power:
+        def counted_power(a, e):
+            ctx.runs += 1
+            return pow(a, e, 1000)
+
+        ctx._power = counted_power
+    else:
+        bind, step = SemigroupContext._walk_step
+        ctx._walk_step = (bind + "\nctx.runs += 1", step)
     assert run(ctx, 2, 3) == expected
     assert ctx.runs >= 1
     assert run(other, 2, 3) == expected
@@ -587,8 +602,9 @@ def test_bound_powers_match_square_and_multiply(seed):
     `Powers` ladders give plain square and multiply's value; `power` its
     count, and the ladder, after every call, the count of the generic
     ladder, which calls `_product` once per counted multiplication.
-    matmod's and transformation's ladders multiply by each stored square
-    through `_right` and bind it at most once; boolmat's binds none."""
+    Every ladder multiplies by each stored square through `_right` and
+    binds it at most once: matmod's and transformation's through their
+    own, boolmat's through the default, which wraps `_product`."""
     rng = random.Random(seed)
     for make, x in _bound_bases(rng):
         own, generic = make(), generic_walks(make())
@@ -606,8 +622,5 @@ def test_bound_powers_match_square_and_multiply(seed):
             assert own.mult_count == generic.mult_count == calls[0]
             del own._right
             ladder_binds += binds[0]
-        if type(own)._right is SemigroupContext._right:  # boolmat
-            assert own_ladder.rights is None and ladder_binds == 0
-        else:
-            assert ladder_binds == len(own_ladder.rights)
-            assert len(own_ladder.rights) < len(own_ladder.squares)
+        assert ladder_binds == len(own_ladder.rights)
+        assert len(own_ladder.rights) < len(own_ladder.squares)

@@ -130,6 +130,18 @@ MORE_ENTRY_CASES = {
     "random_element-list-seed":
         lambda: random_element("zmod", {"modulus": 7}, [1]),
     "power-bool-exponent": lambda: power(_zmod(), 2, True),
+    # a base outside the instance: once returned 1 for zmod, or leaked a
+    # TypeError or an IndexError
+    "power-residue-out-of-range": lambda: power(ZModContext(10), 11, 3),
+    "power-string-base": lambda: power(ZModContext(10), "a", 3),
+    "power-image-out-of-range":
+        lambda: power(TransformationContext(3), (0, 1, 5), 3),
+    "monico_strip-string-divisor-bound":
+        lambda: monico_strip(_zmod(), 1, 12, 30, "a"),
+    "monico_strip-float-divisor-bound":
+        lambda: monico_strip(_zmod(), 1, 12, 30, 10.5),
+    "DlogSolution.contains-string":
+        lambda: solution_set(3, CycleStructure(2, 20)).contains("a"),
 }
 
 # an integer below its least value, one case per range check (the
@@ -140,6 +152,8 @@ RANGE_CASES = {
     "cycle_start_search-length-0": lambda: cycle_start_search(_zmod(), 2, 0),
     "monico_strip-g-0": lambda: monico_strip(_zmod(), 2, 3, 0, 10),
     "monico_strip-anchor-0": lambda: monico_strip(_zmod(), 2, 0, 20, 10),
+    "monico_strip-divisor-bound-1":
+        lambda: monico_strip(_zmod(), 2, 3, 20, 1),
     "least_period-g-0": lambda: least_period(_zmod(), 2, 4, 0),
     "monico_cycle_length-B-1":
         lambda: monico_cycle_length(_zmod(), 2, 20, 1),
@@ -241,6 +255,7 @@ def test_malformed_input_raises_a_typed_error(name):
 # power that fails further in
 RANGE_MESSAGES = {
     "monico_strip-anchor-0": "anchor_exp must be >= 1, got 0",
+    "monico_strip-divisor-bound-1": "divisor_bound must be >= 2, got 1",
     "least_period-g-0": "g must be >= 1, got 0",
 }
 
