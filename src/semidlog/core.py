@@ -13,8 +13,8 @@ hashable value, so `==` and `hash` are element equality: collision tables
 are plain dicts keyed by the element, and equality tests compare elements
 directly.  The byte key is the stable serialization format only (golden
 encodings, output); no algorithm needs it.  Besides `power`, the module
-holds `Powers`, the fixed-base ladder every power without a closed form
-is taken on, and the collision-table primitive: `table_walk`,
+holds `Powers`, the plain squares ladder every power without a closed
+form is taken on, and the collision-table primitive: `table_walk`,
 `probe_walk` and `table_walk_all`, written once as a template,
 instantiated once per (BIND, STEP) pair of a product step and looked up
 by the context's `_walk_step` on every call (see SemigroupContext).
@@ -103,15 +103,17 @@ class SemigroupContext(ABC):
     per distinct `_walk_step` pair and looked up by it on every call, so a
     pair set on one instance takes effect there.  The generic pair binds
     the walk's fixed step once per call through `_right(b)`, a callable
-    a -> a*b: the default wraps `_product` (boolmat), and matmod and
-    transformation override it to do the work depending on b alone once
-    per binding.  A family whose product is a line or two of arithmetic
-    (zmod, monogenic) writes it into the walks instead, and `_power(a, e)`
-    takes a^e in one step of the same arithmetic, so its walks, powers
-    and ladders call no `_product`.  Every other family takes powers on
-    the squares ladder `Powers`.  A family that overrides `_walk_step`,
-    `_right` or `_power` must step exactly as its `_product` multiplies
-    and return the power that its `_product` would.
+    a -> a*b, which the walk then applies about sqrt(bound) times: the
+    default wraps `_product` (boolmat), and matmod and transformation
+    override it to do the work depending on b alone once per binding.
+    Only the walks bind.  A family whose product is a line or two of
+    arithmetic (zmod, monogenic) writes it into the walks instead, and
+    `_power(a, e)` takes a^e in one step of the same arithmetic, so its
+    walks, powers and ladders call no `_product`.  Every other family
+    takes powers on the squares ladder `Powers`, one `_product` per
+    product.  A family that overrides `_walk_step`, `_right` or `_power`
+    must step exactly as its `_product` multiplies and return the power
+    that its `_product` would.
     """
 
     family: str = "abstract"
@@ -217,60 +219,44 @@ class Powers:
 
     Brickell, Gordon, McCurley and Wilson's fixed-base exponentiation in
     its plainest form: the ladder keeps the squares x^(2^i) made so far,
-    so x^e costs only the squares it is the first to need plus
-    popcount(e) - 1 products, added to the counter once, at the exit.
-    Worth it wherever one call takes several powers of the same base.
-
-    It visits only the set bits of e and multiplies by each square
-    through `ctx._right`, bound once per square on its first use as a
-    factor.  A family with a one-step `_power` (zmod, monogenic; see
-    SemigroupContext) makes each x^e by it and stores no squares.  It
-    counts what the squares would: popcount(e) - 1, plus bit_length(e) -
-    top when that is positive, where `top` is the largest bit length
-    reached so far in this ladder.  The path is taken from `ctx._power`
-    when the ladder is built.  Build one inside a call and drop it at the
+    and x^e multiplies those of e's set bits with `ctx._product`.  A
+    family with a one-step `_power` (zmod, monogenic) makes each x^e by
+    it and stores no squares.  Both count, at the exit, popcount(e) - 1
+    plus bit_length(e) - top when positive, `top` being the largest bit
+    length reached so far.  Build one inside a call and drop it at the
     end; the squares are never shared between calls.
     """
 
-    __slots__ = ("ctx", "squares", "rights", "top", "one_step")
+    __slots__ = ("ctx", "squares", "top", "one_step")
 
     def __init__(self, ctx: SemigroupContext, x) -> None:
         self.ctx = ctx
         self.squares = [x]
-        self.rights = {}  # i -> the bound product by squares[i]
         self.top = 1  # x = x^(2^0) is the first square
         self.one_step = ctx._power
 
     def __call__(self, e: int):
         check_int(e, "exponent", 1)
+        squares = self.squares
+        bits = e.bit_length()
         if self.one_step is not None:
-            result = self.one_step(self.squares[0], e)
-            made = e.bit_count() - 1
-            bits = e.bit_length()
-            if bits > self.top:
-                made += bits - self.top
-                self.top = bits
-            self.ctx.mult_count += made
-            return result
-        ctx, squares, rights = self.ctx, self.squares, self.rights
-        prod = ctx._product
-        made = 0
-        for _ in range(len(squares), e.bit_length()):
-            squares.append(prod(squares[-1], squares[-1]))
-            made += 1
-        low = e & -e
-        result = squares[low.bit_length() - 1]
-        e ^= low
-        while e:
+            result = self.one_step(squares[0], e)
+        else:
+            prod = self.ctx._product
+            for _ in range(len(squares), bits):
+                squares.append(prod(squares[-1], squares[-1]))
             low = e & -e
-            e ^= low
-            i = low.bit_length() - 1
-            times = rights.get(i)
-            if times is None:
-                times = rights[i] = ctx._right(squares[i])
-            result = times(result)
-            made += 1
-        ctx.mult_count += made
+            rest = e ^ low
+            result = squares[low.bit_length() - 1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                result = prod(result, squares[low.bit_length() - 1])
+        made = e.bit_count() - 1
+        if bits > self.top:
+            made += bits - self.top
+            self.top = bits
+        self.ctx.mult_count += made
         return result
 
 
@@ -281,10 +267,11 @@ class Powers:
 # distinct pair, on first use, and shared by every context with that
 # pair.
 _WALK_TEMPLATE = """\
-def table_walk(ctx, start, step, n, table=None, index=0):
+def table_walk(ctx, start, step, n, table=None):
     BIND
     if table is None:
         table = {}
+    index = len(table)
     table[start] = index
     cur = start
     for k in range(index + 1, index + n + 1):
@@ -353,19 +340,18 @@ _WALKS = _Walks()
 
 
 def table_walk(ctx: SemigroupContext, start, step, n: int,
-               table: dict | None = None, index: int = 0):
+               table: dict | None = None):
     """Tabulate start*step^k -> index + k for k = 0..n up to the first
-    repeated value; returns (table, last value, repeat).  `repeat` is
-    (k1, k2) for the least k2 with value(k2) = value(k1), k1 < k2, else
-    None; the table keeps first indices.  Adds the products made,
-    k2 - index or n, to the counter once, at the exit.
+    repeated value, index = len(table); returns (table, last value,
+    repeat).  `repeat` is (k1, k2) for the least k2 with value(k2) =
+    value(k1), k1 < k2, else None; the table keeps first indices.  Adds
+    the products made, k2 - index or n, to the counter once, at the exit.
 
-    With `table`, the walk continues that table in place: `start`, a value
-    not yet in it, enters at `index`, and a repeat may reach back to any
-    earlier entry.  Without one it starts a new table.
+    With `table`, whose values are 0..len(table) - 1, the walk continues
+    it in place from `start`, a value not yet in it, and a repeat may
+    reach back to any earlier entry.  Without one it starts a new table.
     """
-    return _WALKS[ctx._walk_step].table_walk(ctx, start, step, n, table,
-                                             index)
+    return _WALKS[ctx._walk_step].table_walk(ctx, start, step, n, table)
 
 
 def probe_walk(ctx: SemigroupContext, table, cur, step, n: int):

@@ -141,18 +141,17 @@ class Alg4Trace(Trace):
 
 
 class _AnchoredTable:
-    """The baby table of one epoch: x^(A+j) -> j for j < size, anchored at
-    A = B0^2 for the epoch's first bound B0.  It grows in place at each
-    bound up to `limit` = B0^2; `last` is x^(A+size), the next entry."""
+    """The baby table x^(A+j) -> j of one epoch, anchored at A = B0^2 for
+    its first bound B0.  It grows in place at each bound up to `limit` =
+    B0^2; `last` is x^(A+len(table)), the next entry."""
 
-    __slots__ = ("limit", "base", "table", "last", "size")
+    __slots__ = ("limit", "base", "table", "last")
 
     def __init__(self, powers: Powers, bound: int) -> None:
         self.limit = bound * bound
         self.base = powers(self.limit)
         self.table = {}
         self.last = self.base
-        self.size = 0
 
 
 def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int,
@@ -179,15 +178,15 @@ def _alg4_round(ctx: SemigroupContext, x, powers: Powers, bound: int,
     powers of 4, x^A, x^q and x^((q/2)^2) are squares of the ladder.
     """
     q = ceil_sqrt(bound)
-    covered = anchored.size * anchored.size
-    table, last, repeat = table_walk(ctx, anchored.last, x,
-                                     q - anchored.size, anchored.table,
-                                     anchored.size)
+    size = len(anchored.table)
+    covered = size * size
+    table, last, repeat = table_walk(ctx, anchored.last, x, q - size,
+                                     anchored.table)
     if repeat is not None:
         k1, k2 = repeat
         return k2 - k1, Alg4Round(bound, q, k2, None, k2 - k1, True, k2)
     del table[last]  # x^(A+q) is the next stage's first entry, not this one's
-    anchored.last, anchored.size = last, q
+    anchored.last = last
 
     skip = covered // q  # giants 1..skip cover candidates already probed
     giant = ctx.mul(last, powers(skip * q)) if skip else last
@@ -339,12 +338,15 @@ def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
     replaced by g/d whenever x^(anchor_exp + g/d) = x^(anchor_exp) holds.
     The list is not recomputed as g shrinks, so prime factors above the
     bound are never removed and the result can stay a proper multiple.
-    The anchor and the candidates are powers of x from one ladder.
+    The anchor and the candidates are powers of x from one ladder; each
+    accepted d is appended to the list `record` when one is given.
     """
     check_context(ctx).validate(x)
     check_int(g, "g", 1)
     check_int(anchor_exp, "anchor_exp", 1)
     check_int(divisor_bound, "divisor_bound", 2)
+    if record is not None and not isinstance(record, list):
+        raise DomainError(f"record must be a list, got {record!r}")
     powers = Powers(ctx, x)
     base = powers(anchor_exp)
     for d in prime_power_divisors_below(g, divisor_bound):
@@ -459,11 +461,19 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     h, list of the giant steps h^(iq), i = 1, 2, ..., made so far), which
     the oracle extends as it probes further.  With None (the default) a
     query builds its own.  The walk, the scan order and the answer are
-    the same either way; only the products made differ.
+    the same either way; only the products made differ.  Other `steps`
+    are a DomainError.
     """
     check_context(ctx).validate(h)
     ctx.validate(target)
     check_int(bound, "oracle bound", 1)
+    if steps is None:
+        steps = (Powers(ctx, h), [])
+    elif not (isinstance(steps, tuple) and len(steps) == 2
+              and isinstance(steps[0], Powers) and steps[0].ctx is ctx
+              and steps[0].squares[0] == h and isinstance(steps[1], list)):
+        raise DomainError("steps must be a pair (Powers of h in ctx, list "
+                          f"of giant steps), got {steps!r}")
     q = ceil_sqrt(max(bound, 2))
     # every index of a value, not table_walk's first: one index's candidate
     # can fail the power check where another's verifies.  The per-entry
@@ -475,7 +485,7 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     table = table_walk_all(ctx, target, h, q)
 
     prod = ctx._product
-    powers, giants = steps if steps is not None else (Powers(ctx, h), [])
+    powers, giants = steps
     if not giants:
         giants.append(powers(q))
     made = 0
@@ -613,6 +623,7 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
     check_int(inner_rounds, "inner_rounds", 1)
     if outer_rounds is not None:
         check_int(outer_rounds, "outer_rounds", 1)
+    check_int(seed, "seed")
     outer = OUTER_ROUNDS if outer_rounds is None else outer_rounds
     rng = random.Random(seed)
     trace = BaninTrace()

@@ -234,9 +234,10 @@ def _group_log(ctx, gv, y_prime, factorization, records):
     pairwise coprime p^e multiply to L.  Each part projects x' and y' into
     the order-p^e subgroup, takes base-p digits with BSGS runs of order p
     and appends a PrimePowerRecord to `records`; the CRT joins the
-    residues.  Only digits k >= 1 divide by the projected generator, so
-    its inverse is computed only for e >= 2, and a zero n_k is skipped (no
-    x^0).  The split [(L, 1)] is one BSGS, since power(., 1) is free.
+    residues.  Only digits k >= 1 divide by the projected generator xi,
+    so its inverse xi^(p^e - 1) (xi^(p^e) is the identity) is computed
+    only for e >= 2, and a zero n_k is skipped (no x^0).  The split
+    [(L, 1)] is one BSGS, since power(., 1) is free.
     """
     length = gv.cycle.cycle_length
     residues = []
@@ -247,7 +248,7 @@ def _group_log(ctx, gv, y_prime, factorization, records):
         yi = power(ctx, y_prime, cof)
         gamma = power(ctx, xi, p ** (e - 1))
         if e >= 2:
-            zi = inverse_in_group(ctx, gv, (gv.t * length + 1) * cof)
+            zi = power(ctx, xi, pe - 1)
         n_k = 0
         digits = []
         for k in range(e):

@@ -217,8 +217,8 @@ class MatModContext(SemigroupContext):
 
     An element is a tuple of d row tuples.  Products run a kernel generated
     once per dimension (see `_matmod_kernel`), with the modulus passed in;
-    the walks and ladders bind their fixed right factor into the kernel's
-    closure form once.  The kernel's source grows as d^3, so d is capped
+    the walks bind their fixed right factor into the kernel's closure
+    form once.  The kernel's source grows as d^3, so d is capped
     at `max_dim` = 64, where building both forms takes 0.2-0.8 s and
     10-16 MiB and one product ~10 ms.
     """
@@ -292,9 +292,11 @@ class BoolMatContext(SemigroupContext):
     `from_spec`, and `element_json` turns it back.  The constructor keeps
     d masks of d^2 bits, so d is capped at `max_dim` = 256, where they
     take ~2 MiB and one product ~20 ms.  It keeps the default `_right`,
-    which calls `_product` once per product: a bound form that copies b's
-    rows into every row once was not measurably faster, as most bound
-    factors of the cycle algorithms are used once or twice.
+    which calls `_product` once per product.  A bound form that copies
+    b's rows into every row once was not measurably faster when the
+    ladders bound each square too, most of them used once or twice; only
+    the walks bind now, each bound step applied about sqrt(bound) times,
+    and a bound form has not been measured there.
     """
 
     family = "boolmat"

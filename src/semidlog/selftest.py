@@ -183,7 +183,7 @@ def walk_results(ctx, start, step, n: int, probe_keys) -> list:
 def generic_walks(ctx):
     """`ctx` on the generic walks, powers and ladders, which call
     `_product` once per product: the reference for a family's own product
-    step and power (zmod, monogenic) and its own bound right factor
+    step and power (zmod, monogenic) and its walks' own bound right factor
     (matmod, transformation)."""
     ctx._walk_step = SemigroupContext._walk_step
     ctx._power = None
@@ -207,11 +207,10 @@ def _walk_instance(i: int, rng):
 
 def suite_walk_reference(seed: int) -> SuiteResult:
     """The walks zmod and monogenic write their product into, their
-    one-step powers and ladders, and the walks, powers and ladders matmod
-    and transformation run with their bound right factors, against the
-    generic ones, which call
-    `_product` once per product, on seeded instances: the same tables,
-    last values, repeats, hits, powers and counts."""
+    one-step powers and ladders, and the walks matmod and transformation
+    run with their bound right factors, against the generic ones, which
+    call `_product` once per product, on seeded instances: the same
+    tables, last values, repeats, hits, powers and counts."""
     rng = random.Random(seed)
     for i in range(60):
         cls, params = _walk_instance(i, rng)

@@ -8,9 +8,9 @@ once per exit.  The walks come from one template: zmod and monogenic
 write their product into it, take powers in one step by their `_power`
 and call no `_product`; every other family binds the walk's fixed step
 once per call through `_right`, and takes powers on the squares ladder,
-which binds each square it multiplies by.  matmod's and transformation's
-`_right` make no `_product` call per step; boolmat's default one calls
-`_product` once per product.
+which multiplies with `_product` and binds nothing.  matmod's and
+transformation's `_right` make no `_product` call per step; boolmat's
+default one calls `_product` once per product.
 
 So each route runs twice, on two fresh contexts of one instance: one with
 the family's own walks, one forced onto the generic walks, which call
@@ -26,8 +26,8 @@ and make none either, one that a `_walk_step` or `_power` set on an
 instance takes effect at its next call, and seeded tests that the
 one-step powers match square and multiply, the one-step ladders the
 ladder of stored squares, and the costly families' powers and ladders
-square and multiply over `_product`, their ladders binding each square
-at most once.
+square and multiply over `_product`, one call per counted product, and
+never call `_right`.
 """
 
 import random
@@ -297,9 +297,10 @@ def test_table_walk_counter_equals_raw_products(case):
 
 
 def test_table_walk_continues_a_table_in_place():
-    # x^1 .. x^3 in a first walk; the same table continued from x^4 at
-    # index 3 meets x^7 = x^3, an entry of the first walk, and counts only
-    # its own products.  A shorter continuation ends without a repeat
+    # x^1 .. x^3 in a first walk; the same table continued from x^4 enters
+    # it at len(table) = 3, meets x^7 = x^3, an entry of the first walk,
+    # and counts only its own products.  A shorter continuation ends
+    # without a repeat
     for generic in (False, True):
         for n, repeat, products, last in ((4, (2, 6), 3, 3),
                                           (2, None, 2, 6)):
@@ -308,7 +309,8 @@ def test_table_walk_continues_a_table_in_place():
                 generic_walks(ctx)
             calls = _count_calls(ctx, "_product")
             table, _, _ = table_walk(ctx, 1, 1, 2)
-            grown, end, got = table_walk(ctx, 4, 1, n, table, 3)
+            assert len(table) == 3
+            grown, end, got = table_walk(ctx, 4, 1, n, table)
             assert grown is table and got == repeat and end == last
             assert ctx.mult_count == 2 + products
             assert calls[0] == (2 + products if generic else 0)
@@ -601,26 +603,24 @@ def test_bound_powers_match_square_and_multiply(seed):
     """matmod's, boolmat's and transformation's `power` and their set-bit
     `Powers` ladders give plain square and multiply's value; `power` its
     count, and the ladder, after every call, the count of the generic
-    ladder, which calls `_product` once per counted multiplication.
-    Every ladder multiplies by each stored square through `_right` and
-    binds it at most once: matmod's and transformation's through their
-    own, boolmat's through the default, which wraps `_product`."""
+    ladder.  Both make exactly one `_product` call per counted
+    multiplication and never call `_right`: only the walks bind."""
     rng = random.Random(seed)
     for make, x in _bound_bases(rng):
         own, generic = make(), generic_walks(make())
         calls = _count_calls(generic, "_product")
+        own_calls = _count_calls(own, "_product")
+        binds = _count_calls(own, "_right")
         own_ladder, generic_ladder = Powers(own, x), Powers(generic, x)
-        ladder_binds = 0
         for e in _ladder_exponents(rng):
+            before, made_calls = own.mult_count, own_calls[0]
             value, made = _square_and_multiply(own, x, e)
-            before = own.mult_count
+            own_calls[0] = made_calls  # not the reference's products
             assert power(own, x, e) == value, (own, x, e)
             assert own.mult_count - before == made
-            own.mult_count = before
-            binds = _count_calls(own, "_right")
+            assert own_calls[0] - made_calls == made
+            own.mult_count, own_calls[0] = before, made_calls
             assert own_ladder(e) == generic_ladder(e) == value, (own, x, e)
             assert own.mult_count == generic.mult_count == calls[0]
-            del own._right
-            ladder_binds += binds[0]
-        assert ladder_binds == len(own_ladder.rights)
-        assert len(own_ladder.rights) < len(own_ladder.squares)
+            assert own_calls[0] == own.mult_count
+        assert binds[0] == 0

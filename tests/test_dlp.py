@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -596,21 +597,30 @@ def test_ph_prime_cycle_length_single_digit():
 
 def test_ph_squarefree_length_needs_no_inverse(monkeypatch):
     # every p^e of L = 2*3*5*7*11 has e = 1: one digit each, so no digit
-    # divides by the projected generator and its inverse is never computed
-    def no_inverse(*args):
-        raise AssertionError("inverse_in_group called for e = 1")
+    # divides by the projected generator xi and its inverse xi^(p^e - 1)
+    # is never computed.  The group log then takes four powers per part
+    # itself: xi, the projected target, xi^(p^(e-1)) and the one digit's
+    # target; an inverse would be a fifth
+    group_log_powers = []
 
-    monkeypatch.setattr(dlp, "inverse_in_group", no_inverse)
+    def spied_power(ctx, x, e):
+        if sys._getframe(1).f_code is dlp._group_log.__code__:
+            group_log_powers.append(e)
+        return power(ctx, x, e)
+
+    monkeypatch.setattr(dlp, "power", spied_power)
     ctx = MonogenicContext(4, 2310)
     cyc = CycleStructure(4, 2310)
     for m in (2, 4, 1000, 2313, 5000):
+        group_log_powers.clear()
         y = power(ctx, 1, m)
         sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
         assert sol.contains(m)
-        assert sol == semigroup_dlog(ctx, 1, y, cyc)[0]
         # m = 2 < s is a tail answer: no group log, so no prime records
         primes = [] if m < 4 else [2, 3, 5, 7, 11]
         assert [r.prime for r in trace.prime_records] == primes
+        assert len(group_log_powers) == 4 * len(primes), group_log_powers
+        assert sol == semigroup_dlog(ctx, 1, y, cyc)[0]
 
 
 def test_ph_prime_power_heavy_length():

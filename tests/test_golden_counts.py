@@ -174,14 +174,18 @@ CYCLE_CASES = {
 # of x^L; each case's comment gives the move.  The shift no longer tests
 # y*x^(tL) for membership, a test every y passes (y*x^(tL) times x^L is
 # y*x^((t+1)L) = y*x^(tL) since tL >= s), which saves the one product of
-# that test.  Answers are unchanged
+# that test.  Pohlig-Hellman takes the inverse of the projected generator
+# xi of a part p^e, e >= 2, as xi^(p^e - 1), since xi^(p^e) is the
+# identity, where it took x^(vL - n) for n = (tL+1)L/p^e, an exponent
+# near L; each such row's comment gives the move.  Answers are unchanged
 DLOG_CASES = {
     # in-cycle: group view 17 -> 9; 53 -> 45
     ("zmod", 57, "reduction"): ({"kind": "progression", "m0": 57,
                                  "period": 100}, 45),
-    # in-cycle: group view 17 -> 9; 84 -> 76
+    # in-cycle: group view 17 -> 9; 84 -> 76; inverses for 2^2 and 5^2,
+    # x^75 (9) and x^96 (7) -> xi^3 (2) and xi^24 (5): 76 -> 67
     ("zmod", 57, "pohlig-hellman"): ({"kind": "progression", "m0": 57,
-                                      "period": 100}, 76),
+                                      "period": 100}, 67),
     # 3*x^100 != 3 puts 3 off the cycle, and s - 1 = 2 <= 10: the tail
     # walk over x, x^2 after the group view, 17 -> 9; 19 -> 11
     ("zmod", None, "reduction"): (None, 11),
@@ -190,9 +194,10 @@ DLOG_CASES = {
     # in-cycle: group view 11 -> 6; 29 -> 24
     ("matmod", 10, "reduction"): ({"kind": "progression", "m0": 10,
                                    "period": 18}, 24),
-    # in-cycle: group view 11 -> 6; 41 -> 36
+    # in-cycle: group view 11 -> 6; 41 -> 36; the inverse for 3^2, x^16
+    # (4) -> xi^8 (3): 36 -> 35
     ("matmod", 10, "pohlig-hellman"): ({"kind": "progression", "m0": 10,
-                                        "period": 18}, 36),
+                                        "period": 18}, 35),
     # in-cycle: group view 9 -> 5; 21 -> 17
     ("transformation", 9, "reduction"): ({"kind": "progression", "m0": 9,
                                           "period": 7}, 17),
@@ -202,15 +207,17 @@ DLOG_CASES = {
     # in-cycle: group view 23 -> 12; 86 -> 75
     ("monogenic", 1000, "reduction"): ({"kind": "progression", "m0": 280,
                                         "period": 360}, 75),
-    # in-cycle: group view 23 -> 12; 120 -> 109
+    # in-cycle: group view 23 -> 12; 120 -> 109; inverses for 2^3 and
+    # 3^2, x^315 (13) and x^320 (9) -> xi^7 (4) and xi^8 (3): 109 -> 94
     ("monogenic", 1000, "pohlig-hellman"): ({"kind": "progression",
-                                             "m0": 280, "period": 360}, 109),
+                                             "m0": 280, "period": 360}, 94),
     # off-cycle, but s - 1 = 36 > ceil(sqrt(360)) = 19, so no tail walk:
     # the shift, y times the identity with no bisection at t = 1 and no
     # membership test, 13 -> 2 -> 1; group view 23 -> 12; 65 -> 43 -> 42
     ("monogenic", 5, "reduction"): ({"kind": "unique", "m": 5}, 42),
-    # as above: shift 13 -> 2 -> 1, group view 23 -> 12; 133 -> 111 -> 110
-    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 110),
+    # as above: shift 13 -> 2 -> 1, group view 23 -> 12; 133 -> 111 -> 110;
+    # the inverses as for k = 1000: 110 -> 95
+    ("monogenic", 5, "pohlig-hellman"): ({"kind": "unique", "m": 5}, 95),
 }
 
 # (family, bound) -> the accepting attempt's Banin-Tsaban rounds as

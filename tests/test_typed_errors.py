@@ -77,6 +77,15 @@ def _view():
     return make_group_view(_zmod(), 2, CycleStructure(2, 20))
 
 
+def _oracle_on_ladder(base, ladder_ctx=None):
+    """group_dlog_oracle for 2^k' = 16 in ZModContext(101), 2^16 = 88,
+    sharing a ladder of `base` in `ladder_ctx` (the oracle's context when
+    None)."""
+    ctx = ZModContext(101)
+    ladder = Powers(ladder_ctx or ctx, base)
+    return group_dlog_oracle(ctx, 2, 16, 64, (ladder, []))
+
+
 # name -> a call with one malformed argument; each must raise a
 # SemigroupError subclass
 ENTRY_POINTS = {
@@ -142,6 +151,22 @@ MORE_ENTRY_CASES = {
         lambda: monico_strip(_zmod(), 1, 12, 30, 10.5),
     "DlogSolution.contains-string":
         lambda: solution_set(3, CycleStructure(2, 20)).contains("a"),
+    # a seed that is no integer once leaked random.Random's TypeError
+    "banin_tsaban-list-seed":
+        lambda: banin_tsaban_cycle_length(_zmod(), 2, seed=[1]),
+    "find_cycle-banin-tsaban-list-seed":
+        lambda: find_cycle(_zmod(), 2, "banin-tsaban", seed=[1]),
+    # a record that is no list once leaked AttributeError
+    "monico_strip-string-record":
+        lambda: monico_strip(_zmod(), 1, 12, 30, 10, record="x"),
+    # steps that are no pair once leaked ValueError, and a ladder of
+    # another base or context was trusted: the oracle returned 16, checked
+    # against powers of 3, where 2^16 = 88 (mod 101)
+    "group_dlog_oracle-string-steps":
+        lambda: group_dlog_oracle(_zmod(), 2, 4, 16, "junk"),
+    "group_dlog_oracle-ladder-of-another-base": lambda: _oracle_on_ladder(3),
+    "group_dlog_oracle-ladder-in-another-context":
+        lambda: _oracle_on_ladder(2, ZModContext(101)),
 }
 
 # an integer below its least value, one case per range check (the
