@@ -15,15 +15,15 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
-from .core import DomainError, SemigroupError, check_int
-from .cycle import brute_force_cycle, find_cycle
+from .core import DomainError, Record, SemigroupError, check_int
+from .cycle import DIVISOR_BOUND, brute_force_cycle, find_cycle
 from .instances import FAMILIES, make_context
 
 
 @dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(Record):
     instance: str
     order: int | None
     algorithm: str
@@ -33,9 +33,6 @@ class BenchRecord:
     table_peak: int
     wall_time_s: float
     success: bool | None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     sort_key = property(lambda self: (self.instance, self.algorithm, self.trial))
 
@@ -58,7 +55,7 @@ def _instance_params(family: str, size: int, rng: random.Random, dim: int,
 
 def run_sweep(family: str, algorithm: str, sizes, trials: int = 1,
               seed: int = 0, bound: int | None = None,
-              divisor_bound: int = 10 ** 4, rounds=None, dim: int = 2,
+              divisor_bound: int = DIVISOR_BOUND, rounds=None, dim: int = 2,
               modulus: int = 5, check_oracle: bool = True) -> list:
     if family not in FAMILIES:
         raise SemigroupError(f"unknown bench family {family!r}")

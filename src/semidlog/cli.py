@@ -25,7 +25,8 @@ import sys
 
 from . import bench
 from .core import NoSolutionError, SemigroupError, power
-from .cycle import CYCLE_ALGORITHMS, find_cycle, least_period
+from .cycle import (CYCLE_ALGORITHMS, DIVISOR_BOUND, INNER_ROUNDS,
+                    OUTER_ROUNDS, find_cycle, least_period)
 from .dlp import DLOG_SOLVERS
 from .instances import FAMILIES, ElementSpecError, parse_element_spec
 from .selftest import run_selftests
@@ -132,7 +133,6 @@ def cmd_cycle(args) -> int:
     cyc, trace = find_cycle(ctx, x, args.alg, args.bound, args.divisor_bound,
                             rounds, seed)
     start, length = cyc.cycle_start, cyc.cycle_length
-    trace_json = trace.to_json() if trace else None
 
     problem = None if args.no_verify else _verify_cycle(ctx, x, start, length)
     result = {
@@ -144,7 +144,7 @@ def cmd_cycle(args) -> int:
         "multiplications": ctx.mult_count,
         "seed": seed,
         "verified": None if args.no_verify else problem is None,
-        "trace": trace_json,
+        "trace": trace.to_json() if trace else None,
     }
     lines = [
         f"instance: {json.dumps(ctx.describe(), sort_keys=True)}",
@@ -265,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(banin-tsaban: the first bound of its x4 "
                             "schedule)")
         p.add_argument("--B", dest="divisor_bound", type=int,
-                       default=10 ** 4, metavar="N",
+                       default=DIVISOR_BOUND, metavar="N",
                        help="divisor bound for monico stripping")
         p.add_argument("--rounds", metavar="r,s", default=None,
                        help="inner,outer round counts for banin-tsaban "
-                            "(default 4,3)")
+                            f"(default {INNER_ROUNDS},{OUTER_ROUNDS})")
 
     p_cycle = sub.add_parser("cycle", help="compute cycle start and length")
     p_cycle.add_argument("element", metavar="ELEMENT_SPEC",

@@ -18,6 +18,8 @@ form is taken on, and the collision-table primitive: `table_walk`,
 `probe_walk` and `table_walk_all`, written once as a template,
 instantiated once per (BIND, STEP) pair of a product step and looked up
 by the context's `_walk_step` on every call (see SemigroupContext).
+`Record` is the one JSON rule of every serialized dataclass record but
+`DlogSolution`: its fields, in order, under their own names.
 
 The public functions check their context argument with `check_context`
 and their integer arguments with `check_int`.  Both run on every call,
@@ -380,8 +382,17 @@ def canonical_key(ctx: SemigroupContext, a) -> bytes:
     return ctx.key(ctx.validate(a))
 
 
+class Record:
+    """Base of every serialized dataclass record: the traces and their
+    round records, CycleStructure, SuiteResult and BenchRecord.  Its JSON
+    form is its fields, in order, under their own names, nested alike."""
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(Record):
     """Cycle start s, cycle length L and order N = s + L - 1 of a torsion
     element.
 
@@ -404,21 +415,3 @@ class CycleStructure:
             raise DomainError(
                 f"order {self.order} != cycle_start + cycle_length - 1 = {expected}"
             )
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-_JSON_KEYS = {"gcd_value": "gcd", "attempts": "failed_bounds",
-              "prime_records": "primes"}
-
-
-class Trace:
-    """Base of the algorithm traces and their per-round records, all
-    dataclasses: the JSON form is the fields in order under their names,
-    the three in _JSON_KEYS renamed, with nested records serialized alike.
-    """
-
-    def to_json(self) -> dict:
-        return asdict(self, dict_factory=lambda items: {
-            _JSON_KEYS.get(name, name): value for name, value in items})

@@ -38,9 +38,9 @@ from .core import (
     DomainError,
     OracleFailureError,
     Powers,
+    Record,
     SemigroupContext,
     SemigroupError,
-    Trace,
     check_context,
     check_int,
     power,
@@ -59,6 +59,23 @@ from .numtheory import (
 # brute force tabulates every power, so it stops after this many
 BRUTE_FORCE_CAP = 1 << 21
 _DOUBLING_CAP = 1 << 62
+
+# Monico's default divisor bound, and Banin-Tsaban's default first bound
+# and rounds.  Every Banin-Tsaban answer is verified and reduced to the
+# exact L, so the outer rounds buy only the chance p that an attempt
+# verifies; a failed one retries at 4x the bound, which costs 2x as much.
+# With o outer rounds an attempt costs o units and the expected total is
+# o / (2p - 1).  An attempt at a bound >= the order verifies whenever
+# gcd(z_1, ..., z_o, L) = 1, which for z drawn from a long range happens
+# with probability prod_{p | L} (1 - p^-o) >= 1/zeta(o)
+# (tests/test_success_rates.py measures it).  So whatever L is, the cost
+# is at most o / (2/zeta(o) - 1) units: 9.27 at o = 2, 4.52 at o = 3,
+# 4.72 at o = 4, 5.38 at o = 5 and 6.21 at o = 6; at o = 1 there is no
+# bound for even L, where p is then near 1/2.
+DIVISOR_BOUND = 10 ** 4
+FIRST_BOUND = 16
+INNER_ROUNDS = 4
+OUTER_ROUNDS = 3
 
 
 def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> CycleStructure:
@@ -79,7 +96,7 @@ def brute_force_cycle(ctx: SemigroupContext, x, cap: int = BRUTE_FORCE_CAP) -> C
     return CycleStructure(k1 + 1, k2 - k1)
 
 
-def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
+def _doubling_search(ctx, trace, attempt, n, miss=None, failed=None):
     """Run attempt(n), attempt(4n), attempt(16n), ... until one returns a
     cycle length; returns (length, trace) with trace.multiplications and
     trace.cycle_length filled in.
@@ -89,8 +106,8 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
     afresh (Monico, Banin-Tsaban) spend about as much on the failed rounds
     as on the accepting one, against 2.4 times as much when doubling; the
     deterministic rounds carry their table on instead (_alg4_round).
-    Without `grow`, a single attempt whose miss raises
-    SemigroupError with the message `miss`.  Bounds that missed are
+    Given a message `miss` (a known bound), a single attempt whose miss
+    raises SemigroupError with that message.  Bounds that missed are
     appended to `failed` when it is given; no attempt runs past
     _DOUBLING_CAP.
     """
@@ -101,7 +118,7 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
             trace.multiplications = ctx.mult_count - start_count
             trace.cycle_length = length
             return length, trace
-        if not grow:
+        if miss is not None:
             raise SemigroupError(miss)
         if failed is not None:
             failed.append(n)
@@ -112,7 +129,7 @@ def _doubling_search(ctx, trace, attempt, n, grow, miss, failed=None):
 
 
 @dataclass
-class Alg4Round(Trace):
+class Alg4Round(Record):
     """One round of the deterministic algorithm, at one bound: a stage of
     the anchored table x^(A+j), j < `table_size`, that the round builds or
     grows.  When the baby walk repeats, at index `baby_hit` after index
@@ -133,7 +150,7 @@ class Alg4Round(Trace):
 
 
 @dataclass
-class Alg4Trace(Trace):
+class Alg4Trace(Record):
     rounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
@@ -233,11 +250,11 @@ def deterministic_cycle_length(ctx: SemigroupContext, x,
         trace.table_peak = max(trace.table_peak, rec.table_size)
         return result
 
-    return _doubling_search(
-        ctx, trace, attempt, known_bound or 1, known_bound is None,
+    miss = None if known_bound is None else (
         f"no validated collision at bound {known_bound}; the bound must be "
         "at least the cycle length, and its square at least the cycle "
         "start")
+    return _doubling_search(ctx, trace, attempt, known_bound or 1, miss)
 
 
 def cycle_start_search(ctx: SemigroupContext, x, cycle_length: int) -> int:
@@ -307,26 +324,30 @@ def _least_period(ctx, powers, base, g):
 
 
 @dataclass
-class MonicoTrace(Trace):
+class MonicoTrace(Record):
     bound: int = 0
     m: int = 0
     prime: int = 0
     duplicate_pair: tuple | None = None
     collision_one: tuple | None = None  # (a1, b1)
     collision_two: tuple | None = None  # (a2, b2)
-    gcd_value: int = 0
+    gcd: int = 0
     divisor_bound: int = 0
     stripped_divisors: list = field(default_factory=list)
-    attempts: list = field(default_factory=list)  # bounds of failed rounds
+    failed_bounds: list = field(default_factory=list)
     multiplications: int = 0
     cycle_length: int | None = None
+
+    # read only: the benchmark's per-layer report (perfbench/layers.py)
+    # reads the failed bounds by this name
+    attempts = property(lambda self: self.failed_bounds)
 
     @property
     def table_peak(self) -> int:
         # a failed round stores all m + 1 entries; the last one stops at
         # its first duplicate (first, i), having stored i
         last = self.duplicate_pair[1] if self.duplicate_pair else self.m + 1
-        return max([last] + [ceil_sqrt(b) + 1 for b in self.attempts])
+        return max([last] + [ceil_sqrt(b) + 1 for b in self.failed_bounds])
 
 
 def monico_strip(ctx: SemigroupContext, x, anchor_exp: int, g: int,
@@ -403,7 +424,7 @@ def _monico_round(ctx, x, powers, bound, divisor_bound, trace):
         anchor = (q + min(b1, a1 * m) if a1 * m != b1
                   else min(2 * q + b2, q + a2 * m))
 
-    trace.gcd_value = g
+    trace.gcd = g
     stripped: list = []
     result = monico_strip(ctx, x, anchor, g, divisor_bound, stripped)
     trace.stripped_divisors = stripped
@@ -411,7 +432,7 @@ def _monico_round(ctx, x, powers, bound, divisor_bound, trace):
 
 
 def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
-                        divisor_bound: int = 10 ** 4,
+                        divisor_bound: int = DIVISOR_BOUND,
                         seed: int | None = None):
     """Monico's baby-step giant-step route; returns (L, MonicoTrace).
 
@@ -433,12 +454,13 @@ def monico_cycle_length(ctx: SemigroupContext, x, bound: int | None = None,
         check_int(bound, "bound", 1)
     trace = MonicoTrace(divisor_bound=divisor_bound)
     powers = Powers(ctx, x)
+    miss = None if bound is None else (
+        f"no collision within bound {bound}; the bound must be at least the "
+        "order of the element")
     return _doubling_search(
         ctx, trace,
         lambda n: _monico_round(ctx, x, powers, n, divisor_bound, trace),
-        bound or 1, bound is None,
-        f"no collision within bound {bound}; the bound must be at least the "
-        "order of the element", trace.attempts)
+        bound or 1, miss, trace.failed_bounds)
 
 
 def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
@@ -461,8 +483,11 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
     h, list of the giant steps h^(iq), i = 1, 2, ..., made so far), which
     the oracle extends as it probes further.  With None (the default) a
     query builds its own.  The walk, the scan order and the answer are
-    the same either way; only the products made differ.  Other `steps`
-    are a DomainError.
+    the same either way; only the products made differ.  A `steps` that
+    is no such pair is a DomainError.  The list itself is trusted, not
+    checked: it must be one the oracle filled for this h and bound.  A
+    foreign list can make the oracle miss or return another k', never a
+    wrong one, because every candidate is verified.
     """
     check_context(ctx).validate(h)
     ctx.validate(target)
@@ -509,14 +534,14 @@ def group_dlog_oracle(ctx: SemigroupContext, h, target, bound: int,
 
 
 @dataclass
-class BaninRound(Trace):
+class BaninRound(Record):
     z: int
     pairs: list  # (k_i, k_i') tuples
-    gcd_value: int
+    gcd: int
 
 
 @dataclass
-class BaninTrace(Trace):
+class BaninTrace(Record):
     bound: int = 0
     rounds: list = field(default_factory=list)
     lcm_candidate: int = 0
@@ -533,21 +558,6 @@ class BaninTrace(Trace):
         # at bound b, which every attempt, failed or final, builds
         return max(ceil_sqrt(max(b, 2)) + 1
                    for b in [*self.failed_bounds, self.bound])
-
-
-# Banin-Tsaban's default rounds.  Every answer is verified and reduced to
-# the exact L, so the outer rounds buy only the chance p that an attempt
-# verifies; a failed one retries at 4x the bound, which costs 2x as much.
-# With o outer rounds an attempt costs o units and the expected total is
-# o / (2p - 1).  An attempt at a bound >= the order verifies whenever
-# gcd(z_1, ..., z_o, L) = 1, which for z drawn from a long range happens
-# with probability prod_{p | L} (1 - p^-o) >= 1/zeta(o)
-# (tests/test_success_rates.py measures it).  So whatever L is, the cost
-# is at most o / (2/zeta(o) - 1) units: 9.27 at o = 2, 4.52 at o = 3,
-# 4.72 at o = 4, 5.38 at o = 5 and 6.21 at o = 6; at o = 1 there is no
-# bound for even L, where p is then near 1/2.
-INNER_ROUNDS = 4
-OUTER_ROUNDS = 3
 
 
 def _banin_attempt(ctx, powers, bound, inner, outer, rng, trace):
@@ -595,7 +605,8 @@ def _banin_attempt(ctx, powers, bound, inner, outer, rng, trace):
     return length
 
 
-def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
+def banin_tsaban_cycle_length(ctx: SemigroupContext, x,
+                              bound: int = FIRST_BOUND,
                               inner_rounds: int = INNER_ROUNDS,
                               outer_rounds: int | None = None,
                               seed: int = 0):
@@ -634,25 +645,25 @@ def banin_tsaban_cycle_length(ctx: SemigroupContext, x, bound: int = 16,
         return _banin_attempt(ctx, powers, m, inner_rounds, outer, rng,
                               trace)
 
-    return _doubling_search(ctx, trace, attempt, bound, True, None,
-                            trace.failed_bounds)
+    return _doubling_search(ctx, trace, attempt, bound,
+                            failed=trace.failed_bounds)
 
 
 CYCLE_ALGORITHMS = ("deterministic", "monico", "banin-tsaban", "brute")
 
 
 def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
-               divisor_bound: int = 10 ** 4, rounds: tuple | None = None,
-               seed: int = 0):
+               divisor_bound: int = DIVISOR_BOUND,
+               rounds: tuple | None = None, seed: int = 0):
     """Cycle structure of x by the algorithm named `alg`, one of
     CYCLE_ALGORITHMS; returns (CycleStructure, trace or None).
 
     "brute" enumerates powers and has no trace.  Every other algorithm
     computes the cycle length (bound-free when `bound` is None) and then
     runs cycle_start_search.  `divisor_bound` and `seed` go to Monico;
-    Banin-Tsaban takes its starting bound from `bound` (16 when None),
-    `rounds` = (inner, outer) (None: (INNER_ROUNDS, OUTER_ROUNDS) =
-    (4, 3)) and `seed`.
+    Banin-Tsaban takes its starting bound from `bound` (FIRST_BOUND when
+    None), `rounds` = (inner, outer) (None: (INNER_ROUNDS, OUTER_ROUNDS))
+    and `seed`.
     """
     if alg == "brute":
         return brute_force_cycle(ctx, x), None
@@ -668,8 +679,8 @@ def find_cycle(ctx: SemigroupContext, x, alg: str, bound: int | None = None,
             raise DomainError(f"rounds must be a pair (inner, outer), "
                               f"got {rounds!r}") from None
         length, trace = banin_tsaban_cycle_length(
-            ctx, x, 16 if bound is None else bound, inner_rounds=inner,
-            outer_rounds=outer, seed=seed)
+            ctx, x, FIRST_BOUND if bound is None else bound,
+            inner_rounds=inner, outer_rounds=outer, seed=seed)
     else:
         raise SemigroupError(f"unknown cycle algorithm {alg!r}; expected "
                              f"one of {', '.join(CYCLE_ALGORITHMS)}")

@@ -30,9 +30,9 @@ from .core import (
     DomainError,
     NoSolutionError,
     Powers,
+    Record,
     SemigroupContext,
     SemigroupError,
-    Trace,
     check_context,
     check_int,
     power,
@@ -183,7 +183,7 @@ def solution_set(raw_m: int, cycle: CycleStructure) -> DlogSolution:
 
 
 @dataclass
-class DlogTrace(Trace):
+class DlogTrace(Record):
     """How the reduction reached its answer `raw`, a solution exponent.
 
     A group-log answer sets every field: raw = (tL+1)m'_eff - (b+c)L.  A
@@ -200,7 +200,7 @@ class DlogTrace(Trace):
 
 
 @dataclass
-class PrimePowerRecord(Trace):
+class PrimePowerRecord(Record):
     prime: int
     exponent: int
     digits: list
@@ -209,7 +209,7 @@ class PrimePowerRecord(Trace):
 
 @dataclass
 class PohligHellmanTrace(DlogTrace):
-    prime_records: list = field(default_factory=list)
+    primes: list = field(default_factory=list)
 
 
 def _shift_into_group(ctx, gv, y):
@@ -335,8 +335,7 @@ def pohlig_hellman_dlog(ctx: SemigroupContext, x, y, cycle: CycleStructure):
     factorization, and raises SemigroupError when L cannot be factored.
     """
     trace = PohligHellmanTrace()
-    return _solve(ctx, x, y, cycle, _prime_split, trace,
-                  trace.prime_records)
+    return _solve(ctx, x, y, cycle, _prime_split, trace, trace.primes)
 
 
 def _prime_split(length):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MethodType
 
 from .core import (
     Powers,
+    Record,
     SemigroupContext,
     power,
     probe_walk,
@@ -45,13 +46,10 @@ from .instances import (
 
 
 @dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     passed: bool
     detail: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _sample_instances(seed: int):

@@ -141,7 +141,7 @@ def test_unknown_bound_schedules_quadruple():
     _, mon = monico_cycle_length(ctx, 1)
     _, ban = banin_tsaban_cycle_length(ctx, 1, seed=2)
     for start, bounds in [(1, [r.bound for r in det.rounds]),
-                          (1, mon.attempts + [mon.bound]),
+                          (1, mon.failed_bounds + [mon.bound]),
                           (16, ban.failed_bounds + [ban.bound])]:
         assert len(bounds) >= 4
         assert bounds == [start * 4 ** i for i in range(len(bounds))]
@@ -453,7 +453,7 @@ def test_monico_duplicate_pair_spans_one_period():
         i1, i2 = trace.duplicate_pair
         assert i2 - i1 == period
         assert trace.prime + i1 * trace.m >= s
-        assert trace.gcd_value == period * trace.m
+        assert trace.gcd == period * trace.m
 
 
 def test_monico_table_peak_counts_stored_entries():
@@ -466,7 +466,8 @@ def test_monico_table_peak_counts_stored_entries():
     _, trace = monico_cycle_length(MonogenicContext(6, 59), 1, bound=64)
     assert trace.duplicate_pair is None and trace.table_peak == trace.m + 1
     _, trace = monico_cycle_length(MonogenicContext(300, 6), 1)
-    assert trace.attempts == [1, 4, 16, 64] and trace.duplicate_pair == (3, 6)
+    assert trace.failed_bounds == [1, 4, 16, 64]
+    assert trace.duplicate_pair == (3, 6)
     assert trace.table_peak == ceil_sqrt(64) + 1 == 9
 
 
@@ -535,7 +536,8 @@ def test_monico_doubling_mode():
     length, trace = monico_cycle_length(ctx, 2, bound=None,
                                         divisor_bound=10 ** 4)
     assert length == 20
-    assert trace.attempts  # small bounds failed before collisions appeared
+    # small bounds failed before collisions appeared
+    assert trace.failed_bounds
 
 
 def test_monico_overshoot_fixture():
@@ -651,6 +653,36 @@ def test_oracle_shared_steps_answer_as_fresh_queries():
             continue
         assert group_dlog_oracle(ctx, h, target, bound, steps) == want
     assert 0 < ctx.mult_count < fresh.mult_count
+
+
+def test_oracle_trusts_its_giant_list():
+    # the giant list is trusted, not checked: a foreign one can make the
+    # oracle miss where a call with its own list answers
+    ctx = ZModContext(101)
+    assert group_dlog_oracle(ctx, 2, 16, 64) == 4
+    with pytest.raises(OracleFailureError):
+        group_dlog_oracle(ctx, 2, 16, 64, (Powers(ctx, 2), [5]))
+
+
+def test_oracle_answers_with_a_foreign_giant_list_are_verified():
+    # whatever k' the oracle returns with a foreign giant list still maps
+    # h to the target: every candidate is verified
+    rng = random.Random(28)
+    answered = 0
+    for _ in range(300):
+        n = rng.choice([101, 128, 250, 257])
+        ctx = ZModContext(n)
+        h = rng.randrange(2, n)
+        target = power(ctx, h, rng.randint(1, 2 * n))
+        giants = [rng.randrange(n) for _ in range(rng.randint(1, 12))]
+        try:
+            kp = group_dlog_oracle(ctx, h, target, rng.randint(1, 2 * n),
+                                   (Powers(ctx, h), giants))
+        except OracleFailureError:
+            continue
+        assert power(ctx, h, kp) == target
+        answered += 1
+    assert answered > 0
 
 
 # ------------------------------------------------------------- banin-tsaban
@@ -796,8 +828,8 @@ def test_cycle_trace_json_keys():
         "bound", "collision_one", "collision_two", "cycle_length",
         "divisor_bound", "duplicate_pair", "failed_bounds", "gcd", "m",
         "multiplications", "prime", "stripped_divisors"]
-    assert mon.attempts and doc["failed_bounds"] == mon.attempts
-    assert doc["gcd"] == mon.gcd_value > 0
+    assert mon.failed_bounds and doc["failed_bounds"] == mon.failed_bounds
+    assert doc["gcd"] == mon.gcd > 0
 
     _, ban = banin_tsaban_cycle_length(ZModContext(1000), 2, bound=4,
                                        seed=7)
@@ -809,4 +841,4 @@ def test_cycle_trace_json_keys():
     assert doc["rounds"]
     for entry, rec in zip(doc["rounds"], ban.rounds):
         assert sorted(entry) == ["gcd", "pairs", "z"]
-        assert entry["gcd"] == rec.gcd_value
+        assert entry["gcd"] == rec.gcd

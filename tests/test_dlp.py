@@ -463,7 +463,7 @@ def test_trace_json_keys():
         == trace.to_json()
     primes = ph_trace.to_json()["primes"]
     assert [r["prime"] for r in primes] == [2, 5]
-    for entry, rec in zip(primes, ph_trace.prime_records):
+    for entry, rec in zip(primes, ph_trace.primes):
         assert sorted(entry) == ["digits", "exponent", "prime", "residue"]
         assert entry["residue"] == rec.residue
 
@@ -552,7 +552,7 @@ def test_ph_zmod_digit_trace():
     ctx = ZModContext(100)
     sol, trace = pohlig_hellman_dlog(ctx, 2, 68, CycleStructure(2, 20))
     assert sol.to_json() == {"kind": "progression", "m0": 15, "period": 20}
-    by_prime = {r.prime: r for r in trace.prime_records}
+    by_prime = {r.prime: r for r in trace.primes}
     assert by_prime[2].residue == 3   # 15 mod 4
     assert by_prime[2].digits == [1, 1]
     assert by_prime[5].residue == 0   # 15 mod 5
@@ -581,7 +581,7 @@ def test_ph_trivial_cycle_length():
         sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
         ref, _ = semigroup_dlog(ctx, 1, y, cyc)
         assert sol == ref
-        assert trace.prime_records == []
+        assert trace.primes == []
 
 
 def test_ph_prime_cycle_length_single_digit():
@@ -591,8 +591,8 @@ def test_ph_prime_cycle_length_single_digit():
     sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
     ref, _ = semigroup_dlog(ctx, 1, y, cyc)
     assert sol == ref
-    assert len(trace.prime_records) == 1
-    assert len(trace.prime_records[0].digits) == 1
+    assert len(trace.primes) == 1
+    assert len(trace.primes[0].digits) == 1
 
 
 def test_ph_squarefree_length_needs_no_inverse(monkeypatch):
@@ -618,7 +618,7 @@ def test_ph_squarefree_length_needs_no_inverse(monkeypatch):
         assert sol.contains(m)
         # m = 2 < s is a tail answer: no group log, so no prime records
         primes = [] if m < 4 else [2, 3, 5, 7, 11]
-        assert [r.prime for r in trace.prime_records] == primes
+        assert [r.prime for r in trace.primes] == primes
         assert len(group_log_powers) == 4 * len(primes), group_log_powers
         assert sol == semigroup_dlog(ctx, 1, y, cyc)[0]
 
@@ -632,7 +632,7 @@ def test_ph_prime_power_heavy_length():
         y = power(ctx, 1, m)
         sol, trace = pohlig_hellman_dlog(ctx, 1, y, cyc)
         assert sol.contains(m)
-        assert len(trace.prime_records[0].digits) == 8  # 2^8
+        assert len(trace.primes[0].digits) == 8  # 2^8
 
 
 def test_reexported_integer_helpers():

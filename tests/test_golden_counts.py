@@ -325,5 +325,5 @@ def test_golden_mult_counts(case):
 def test_banin_tsaban_rounds(family, bound):
     ctx, x = parse_element_spec(SPECS[family])
     _, trace = banin_tsaban_cycle_length(ctx, x, bound or 16, seed=7)
-    assert [(r.z, r.pairs, r.gcd_value) for r in trace.rounds] \
+    assert [(r.z, r.pairs, r.gcd) for r in trace.rounds] \
         == BANIN_ROUNDS[family, bound]

@@ -60,3 +60,23 @@ def test_every_traced_attribute_is_called(monkeypatch):
         ctx = MonogenicContext(37, 360)
         solver(ctx, 1, power(ctx, 1, 1000), cyc)
     assert [entry for entry in entries if entry not in called] == []
+
+
+# trace attributes perfbench/layers.py reads by name, per algorithm.  It
+# reads them with a default for a missing one, so a rename would zero a
+# per-layer metric silently; this guard fails on it instead
+_LAYERS_READ = {
+    "deterministic": ("rounds", "table_peak", "multiplications"),
+    "monico": ("attempts",),
+    "banin-tsaban": ("failed_bounds",),
+}
+
+
+def test_every_trace_attribute_the_layers_read_exists():
+    traces = {alg: find_cycle(MonogenicContext(37, 360), 1, alg)[1]
+              for alg in _LAYERS_READ}
+    for alg, names in _LAYERS_READ.items():
+        assert [name for name in names if not hasattr(traces[alg], name)] \
+            == []
+    # the per-layer report reruns a deterministic task at its last bound
+    assert hasattr(traces["deterministic"].rounds[-1], "bound")

@@ -247,7 +247,7 @@ RECORDS = {
     "BaninTrace": lambda: BaninTrace(bound="junk"),
     "MonicoTrace": lambda: MonicoTrace(bound="junk"),
     "DlogTrace": lambda: DlogTrace(b="junk"),
-    "PohligHellmanTrace": lambda: PohligHellmanTrace(prime_records="junk"),
+    "PohligHellmanTrace": lambda: PohligHellmanTrace(primes="junk"),
     "GroupView": lambda: GroupView(*["junk"] * 6),
     "DlogSolution": lambda: DlogSolution("junk", "junk"),
     "SemigroupError": lambda: SemigroupError(object()),
